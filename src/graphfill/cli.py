@@ -267,19 +267,24 @@ def cmd_benchmark(cfg: RunConfig) -> int:
               "variants": {}}
     for variant in ("spin", "spin-h"):
         model_cfg = cfg.model
-        entries = []
-        for width in BENCHMARK_WIDTHS:
-            params = build_params(
-                _benchmark_model_cfg(model_cfg, variant), n, b.seed)
-            win_vals = rng.normal(size=(width, n))
-            win = _full_window(win_vals)
-            fwd = spin_forward if variant == "spin" else spinh_forward
-            best = np.inf
-            for _ in range(max(1, b.repeats)):
+        fwd = spin_forward if variant == "spin" else spinh_forward
+        cases = [(build_params(_benchmark_model_cfg(model_cfg, variant), n,
+                               b.seed), _full_window(rng.normal(size=(width, n))))
+                 for width in BENCHMARK_WIDTHS]
+        # Repeats cycle through the widths, so a machine that runs slowly
+        # for a while (CPUs waking from idle) slows every width alike and
+        # the best time per width stays comparable.
+        best = [np.inf] * len(cases)
+        outs = [None] * len(cases)
+        for _ in range(max(1, b.repeats)):
+            for k, (params, win) in enumerate(cases):
                 t0 = time.perf_counter()
                 with T.no_grad():
-                    out = fwd(win, graph, params)
-                best = min(best, time.perf_counter() - t0)
+                    outs[k] = fwd(win, graph, params)
+                best[k] = min(best[k], time.perf_counter() - t0)
+        entries = []
+        for width, (params, _), out, wall in zip(BENCHMARK_WIDTHS, cases, outs,
+                                                 best):
             pairs = out.pairs_per_layer
             open_layer = next(p for p in pairs if not p["masked"])
             if variant == "spin":
@@ -294,7 +299,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
                     f"{variant} W={width}: attention pair count {observed} != "
                     f"closed form {expected}")
             entries.append({"W": width, "pairs_per_open_layer": observed,
-                            "wall_s": best})
+                            "wall_s": wall})
         for prev, cur in zip(entries, entries[1:]):
             ratio = cur["pairs_per_open_layer"] / prev["pairs_per_open_layer"]
             want = 4.0 if variant == "spin" else 2.0

@@ -70,10 +70,6 @@ class SensorGraph:
             raise ValidationError(f"node index {i} out of range [0, {self.n_nodes})")
 
 
-def in_neighbors(graph: SensorGraph, i: int):
-    return graph.in_neighbors(i)
-
-
 def build_adjacency_gaussian(distances, gamma: float, delta: float) -> SensorGraph:
     """Gaussian-kernel adjacency: weight exp(-d^2/gamma) where d <= delta.
 

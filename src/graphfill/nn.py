@@ -13,14 +13,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 
-HIDDEN_WIDTH = 32
-
-
-def default_widths(in_width: int, out_width: int) -> list[int]:
-    """Two-layer shape used everywhere unless a config overrides it."""
-    return [in_width, HIDDEN_WIDTH, out_width]
-
-
 class Mlp:
     """Fully connected layers: linear + ReLU repeated, final layer linear."""
 

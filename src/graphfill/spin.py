@@ -135,34 +135,6 @@ def build_attention_plan(input_mask, graph: SensorGraph, masked: bool) -> Attent
         cross_starts=cat(c_starts), cross_out=cat(c_out))
 
 
-def merge_plans(plans) -> AttentionPlan:
-    """Stack per-window plans into one over the disjoint union of positions.
-
-    Window b's positions shift by the positions of windows before it, so
-    one batched attention pass over the merged plan computes exactly the
-    per-window passes (windows never attend across each other).
-    """
-    fields = {name: [] for name in ("self_key", "self_query", "self_starts",
-                                    "self_out", "cross_key", "cross_query",
-                                    "cross_starts", "cross_out")}
-    pos_off = s_off = c_off = 0
-    for p in plans:
-        fields["self_key"].append(p.self_key + pos_off)
-        fields["self_query"].append(p.self_query + pos_off)
-        fields["self_out"].append(p.self_out + pos_off)
-        fields["self_starts"].append(p.self_starts + s_off)
-        fields["cross_key"].append(p.cross_key + pos_off)
-        fields["cross_query"].append(p.cross_query + pos_off)
-        fields["cross_out"].append(p.cross_out + pos_off)
-        fields["cross_starts"].append(p.cross_starts + c_off)
-        pos_off += p.n_positions
-        s_off += p.n_self_pairs
-        c_off += p.n_cross_pairs
-    cat = {k: (np.concatenate(v) if v else np.zeros(0, dtype=np.intp))
-           for k, v in fields.items()}
-    return AttentionPlan(masked=plans[0].masked, n_positions=pos_off, **cat)
-
-
 class SpinParameters:
     """All trainable state: encodings, init/readout MLPs, per-layer blocks."""
 
@@ -257,9 +229,12 @@ def attend(key_src, query_src, key_idx, query_idx, starts, out_pos, n_out,
 
     The message MLP's first layer is linear over the concatenation, so
     concat([k, q]) @ W0 is evaluated as k @ W0[:dk] + q @ W0[dk:]: the two
-    products are computed once per source row instead of once per pair,
-    and only gathers and the remaining layers run at pair granularity.
+    products are computed once per source row instead of once per pair.
+    The rest of the branch is one fused op, `tensor.attention_sets`.
     """
+    if len(msg_mlp.weights) != 2:
+        raise ShapeError(
+            f"message MLP must have widths [in, hidden, out], got {msg_mlp.widths}")
     if len(key_idx) == 0:
         return T.Value(np.zeros((n_out, msg_mlp.widths[-1]))), None
     dk = key_src.data.shape[-1]
@@ -270,28 +245,19 @@ def attend(key_src, query_src, key_idx, query_idx, starts, out_pos, n_out,
             f"{dk} + {dq}")
     from_key = T.matmul(key_src, T.slice_rows(msg_mlp.weights[0], 0, dk))
     from_query = T.matmul(query_src, T.slice_rows(msg_mlp.weights[0], dk, dk + dq))
-    if len(msg_mlp.weights) == 2:
-        r = T.pair_messages(from_key, from_query, key_idx, query_idx,
-                            msg_mlp.weights[1], msg_mlp.biases[0],
-                            msg_mlp.biases[1])
-    else:
-        r = T.add(T.add(T.gather_rows(from_key, key_idx),
-                        T.gather_rows(from_query, query_idx)), msg_mlp.biases[0])
-        for k in range(1, len(msg_mlp.weights)):
-            r = T.add(T.matmul(T.relu(r), msg_mlp.weights[k]), msg_mlp.biases[k])
-    alpha = T.segment_softmax(T.matmul(r, score), starts)
-    ctx = T.segment_weighted_sum(alpha, r, starts)
+    ctx, alpha = T.attention_sets(from_key, from_query, key_idx, query_idx,
+                                  starts, msg_mlp.weights[1], msg_mlp.biases[0],
+                                  msg_mlp.biases[1], score)
     out = T.scatter_rows(ctx, out_pos, n_out)
-    audit = (alpha.data.copy(), starts.copy()) if collect else None
+    audit = (alpha.copy(), starts.copy()) if collect else None
     return out, audit
 
 
 def _forward_flat(x_leaf, q_flat, input_mask_flat, masked_plan, open_plan,
                   params, n_layers, n_masked, collect_alphas):
-    """Layer stack over an already-flattened position space.
+    """Layer stack over one window's flattened positions (p = τ·N + i).
 
-    Used for a single window and, via merged plans, for a stacked batch
-    of windows. Returns (readouts_flat, pairs_per_layer, alphas).
+    Returns (readouts_flat, pairs_per_layer, alphas).
     """
     n_pos = len(input_mask_flat)
     obs_pos = np.flatnonzero(input_mask_flat == 1)
@@ -373,64 +339,3 @@ def spin_forward(window, graph: SensorGraph, params: SpinParameters,
         readouts=[T.reshape(r, (w, n)) for r in readouts],
         x_leaf=x_leaf, values=values, input_mask=input_mask.copy(),
         pairs_per_layer=pairs, alphas=alphas if collect_alphas else None)
-
-
-@dataclass
-class BatchOutput:
-    """Stacked forward over B same-shape windows.
-
-    readouts_flat[l] has one row per position, windows concatenated in
-    order; row b·W·N + τ·N + i is window b, step τ, node i.
-    """
-    readouts_flat: list
-    x_leaf: T.Value
-    n_windows: int
-    window_shape: tuple
-    pairs_per_layer: list
-
-    def predictions(self, b) -> np.ndarray:
-        w, n = self.window_shape
-        block = self.readouts_flat[-1].data[b * w * n:(b + 1) * w * n]
-        return block.reshape(w, n)
-
-
-def spin_forward_batch(windows, graph: SensorGraph, params: SpinParameters,
-                       input_masks=None, n_layers=None,
-                       n_masked=None) -> BatchOutput:
-    """Run the stack on several same-shape windows as one fused pass.
-
-    Windows are stacked into a block-diagonal position space: identical
-    numbers to per-window calls (windows cannot attend to each other),
-    but every tensor op runs once per batch instead of once per window.
-    """
-    if not windows:
-        raise ValidationError("need at least one window")
-    n_layers, n_masked = _resolve_depth(params, n_layers, n_masked)
-    if input_masks is None:
-        input_masks = [None] * len(windows)
-    checked = [_check_window(win, m, graph)
-               for win, m in zip(windows, input_masks)]
-    w, n = checked[0][0].shape
-    for values, _ in checked:
-        if values.shape != (w, n):
-            raise ShapeError("all windows in a batch must share (W, N) shape")
-
-    values_flat = np.concatenate([v.reshape(w * n, 1) for v, _ in checked])
-    x_leaf = T.Value(values_flat, requires_grad=True)
-    steps = np.concatenate([np.asarray(win.step_offsets) for win in windows])
-    q_flat = params.encoding.codes_flat(steps, n)
-    mask_flat = np.concatenate([m.ravel() for _, m in checked])
-
-    masked_plan = merge_plans(
-        [build_attention_plan(m, graph, masked=True) for _, m in checked])
-    open_plan = None
-    if n_masked < n_layers:
-        template = build_attention_plan(checked[0][1], graph, masked=False)
-        open_plan = merge_plans([template] * len(windows))
-
-    readouts, pairs, _ = _forward_flat(
-        x_leaf, q_flat, mask_flat, masked_plan, open_plan,
-        params, n_layers, n_masked, collect_alphas=False)
-    return BatchOutput(readouts_flat=readouts, x_leaf=x_leaf,
-                       n_windows=len(windows), window_shape=(w, n),
-                       pairs_per_layer=pairs)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoding import EncodingParams
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
 from .spin import (ImputationOutput, _check_window, _resolve_depth, attend)

@@ -15,18 +15,18 @@ data units before reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .data import (Dataset, SpatioTemporalWindow, mae, make_windows,
-                   split_slices, training_whiten)
+from .data import (Dataset, SpatioTemporalWindow, make_windows, split_slices,
+                   training_whiten)
 from .errors import (DivergenceError, EmptySetError, MetricError,
                      NonFiniteError, ValidationError)
 from .graph import SensorGraph, khop_subgraph
 from .optim import AdamState, adam_step, clip_global_norm, lr_schedule
-from .spin import SpinParameters, spin_forward, spin_forward_batch
+from .spin import SpinParameters, spin_forward
 from .spin_h import SpinHParameters, spinh_forward
 
 GRAD_CLIP_NORM = 5.0
@@ -100,30 +100,6 @@ def spin_loss(output, truth, loss_mask) -> T.Value:
     return acc
 
 
-def _batch_loss_stacked(batch_out, windows, loss_masks) -> T.Value:
-    """Mean over windows of the layer-wise loss, on a stacked forward."""
-    w, n = batch_out.window_shape
-    stacked_mask = np.concatenate([m.ravel() for m in loss_masks])
-    stacked_truth = np.concatenate(
-        [np.asarray(win.values, dtype=np.float64).ravel() for win in windows])
-    pos = np.flatnonzero(stacked_mask == 1)
-    if len(pos) == 0:
-        raise EmptySetError("loss masks select no positions")
-    counts = np.array([int(m.sum()) for m in loss_masks], dtype=np.float64)
-    if np.any(counts == 0):
-        raise EmptySetError("a window's loss mask selects no positions")
-    window_of = pos // (w * n)
-    starts = np.searchsorted(window_of, np.arange(len(windows)))
-    truth_rows = T.Value(stacked_truth[pos].reshape(-1, 1))
-    counts_col = T.Value(counts.reshape(-1, 1))
-    acc = None
-    for readout in batch_out.readouts_flat:
-        diff = T.sub(T.gather_rows(readout, pos, unique=True), truth_rows)
-        per_window = T.div(T.segment_sum(T.vabs(diff), starts), counts_col)
-        acc = per_window if acc is None else T.add(acc, per_window)
-    return T.vmean(acc)
-
-
 def _val_input_and_loss_masks(windows, seed):
     """Per-window whiten masks that are identical every time (fixed seed)."""
     masks = []
@@ -175,7 +151,6 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     param_list = params.parameters()
     adam = AdamState(param_list)
     fwd = forward_fn(params)
-    use_stacked = isinstance(params, SpinParameters)
     max_offset = n_train_steps - config.width
     history = []
     best_val = np.inf
@@ -225,20 +200,12 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
 
             try:
                 with T.Tape():
-                    if use_stacked:
-                        batch_out = spin_forward_batch(
-                            [p[0] for p in pairs], batch_graph, params,
-                            input_masks=[p[1] for p in pairs])
-                        loss = _batch_loss_stacked(batch_out, [p[0] for p in pairs],
-                                                   [p[2] for p in pairs])
-                    else:
-                        acc = None
-                        for win, input_mask, loss_mask in pairs:
-                            out = fwd(win, batch_graph, params,
-                                      input_mask=input_mask)
-                            term = spin_loss(out, win.values, loss_mask)
-                            acc = term if acc is None else T.add(acc, term)
-                        loss = T.div(acc, float(len(pairs)))
+                    acc = None
+                    for win, input_mask, loss_mask in pairs:
+                        out = fwd(win, batch_graph, params, input_mask=input_mask)
+                        term = spin_loss(out, win.values, loss_mask)
+                        acc = term if acc is None else T.add(acc, term)
+                    loss = T.div(acc, float(len(pairs)))
                     loss_value = float(loss.data)
                     grads_map = T.backward(loss)
             except NonFiniteError as exc:

@@ -7,8 +7,8 @@ import pytest
 
 from graphfill.errors import ShapeError, ValidationError
 from graphfill.graph import (SensorGraph, build_adjacency_gaussian,
-                             in_neighbors, khop_subgraph, load_distances_csv,
-                             load_edges_csv, save_edges_csv)
+                             khop_subgraph, load_distances_csv, load_edges_csv,
+                             save_edges_csv)
 
 
 def line_graph(n, w=1.0):
@@ -25,7 +25,7 @@ def test_edges_sorted_by_destination_then_source():
     assert g.edges == [(1, 0, 2.0), (3, 0, 1.0), (2, 1, 1.5), (0, 2, 0.5)]
     assert g.in_neighbors(0) == [(1, 2.0), (3, 1.0)]
     assert g.in_neighbors(3) == []
-    assert in_neighbors(g, 1) == [(2, 1.5)]
+    assert g.in_neighbors(1) == [(2, 1.5)]
 
 
 def test_in_edge_slices_partition_edge_array():

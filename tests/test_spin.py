@@ -13,8 +13,7 @@ import graphfill.tensor as T
 from graphfill.data import SpatioTemporalWindow
 from graphfill.errors import ShapeError, ValidationError
 from graphfill.graph import SensorGraph, build_adjacency_gaussian
-from graphfill.spin import (SpinParameters, build_attention_plan,
-                            spin_forward, spin_forward_batch)
+from graphfill.spin import SpinParameters, build_attention_plan, spin_forward
 
 LOGIT_SPAN = 60.0
 
@@ -251,26 +250,6 @@ def test_permutation_equivariance():
             base = spin_forward(window, graph, params).predictions
             permuted = spin_forward(p_window, p_graph, p_params).predictions
         assert np.max(np.abs(permuted - base[:, perm])) <= 1e-10
-
-
-def test_batch_forward_matches_single_windows():
-    rng = np.random.default_rng(7)
-    _, graph, params = random_case(7, n_nodes=4, width=6, n_layers=2,
-                                   n_masked=1)
-    windows = []
-    for k in range(3):
-        values = rng.normal(size=(6, 4))
-        mask = (rng.random((6, 4)) < 0.6).astype(np.uint8)
-        mask[0, 0] = 1
-        windows.append(SpatioTemporalWindow(
-            values=values, mask=mask, eval_mask=np.zeros_like(mask),
-            step_offsets=np.arange(6.0) + 10 * k))
-    with T.no_grad():
-        batch = spin_forward_batch(windows, graph, params)
-        singles = [spin_forward(win, graph, params) for win in windows]
-    for b, win_out in enumerate(singles):
-        got = batch.predictions(b)
-        assert np.max(np.abs(got - win_out.predictions)) < 1e-9
 
 
 def test_filled_keeps_observations():

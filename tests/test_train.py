@@ -8,10 +8,10 @@ from graphfill.data import (Dataset, SpatioTemporalWindow, mae, normalize,
                             split_slices, training_whiten)
 from graphfill.errors import DivergenceError, ValidationError
 from graphfill.graph import SensorGraph
-from graphfill.spin import SpinParameters, spin_forward, spin_forward_batch
-from graphfill.train import (TrainConfig, _batch_loss_stacked, baseline_knn,
-                             baseline_mean, evaluate, evaluate_baseline,
-                             fit_node_means, spin_loss, train)
+from graphfill.spin import SpinParameters, spin_forward
+from graphfill.train import (TrainConfig, baseline_knn, baseline_mean, evaluate,
+                             evaluate_baseline, fit_node_means, spin_loss,
+                             train)
 
 
 def ring_graph(n):
@@ -80,24 +80,6 @@ def test_loss_gradients_reach_first_layer():
         assert g is not None, f"no gradient for {name}"
         assert np.all(np.isfinite(g))
     assert any(np.any(grads[p] != 0.0) for _, p in first_layer)
-
-
-def test_stacked_batch_loss_matches_per_window_mean():
-    graph = ring_graph(4)
-    params = tiny_params(7)
-    windows = [random_window(10 + k) for k in range(3)]
-    masks = [training_whiten(w, rng=np.random.default_rng(20 + k), p=0.5)
-             for k, w in enumerate(windows)]
-    with T.no_grad():
-        batch_out = spin_forward_batch(windows, graph, params,
-                                       input_masks=[m[0] for m in masks])
-        stacked = float(_batch_loss_stacked(batch_out, windows,
-                                            [m[1] for m in masks]).data)
-        singles = []
-        for win, (input_mask, loss_mask) in zip(windows, masks):
-            out = spin_forward(win, graph, params, input_mask=input_mask)
-            singles.append(float(spin_loss(out, win.values, loss_mask).data))
-    assert abs(stacked - float(np.mean(singles))) < 1e-10
 
 
 def quick_config(**kw):
