@@ -24,8 +24,8 @@ from . import __version__
 from . import tensor as T
 from .checkpoint import load_params, save_params
 from .config import RunConfig, build_params, load_run_config, train_config_from
-from .data import (Dataset, inject_block_missing, inject_point_missing,
-                   inject_sparsity_sweep, load_dataset, make_windows,
+from .data import (Dataset, SpatioTemporalWindow, inject_block_missing,
+                   inject_point_missing, inject_sparsity_sweep, load_dataset,
                    normalize, save_grid_csv, split_slices)
 from .errors import GraphfillError, ValidationError
 from .graph import (SensorGraph, build_adjacency_gaussian, load_distances_csv,
@@ -214,12 +214,10 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
     with T.no_grad():
         for start in starts:
             sl = slice(start, start + width)
-            win_dataset = Dataset(values=dataset.values[sl],
-                                  mask=dataset.mask[sl],
-                                  eval_mask=dataset.eval_mask[sl],
-                                  timestamps=dataset.timestamps[sl],
-                                  stats=dataset.stats, columns=dataset.columns)
-            win = make_windows(win_dataset, width, width)[0]
+            win = SpatioTemporalWindow(values=dataset.values[sl],
+                                       mask=dataset.mask[sl],
+                                       eval_mask=dataset.eval_mask[sl],
+                                       step_offsets=dataset.timestamps[sl])
             pred = stats.invert(fwd(win, graph, params).predictions)
             block = predictions[sl]
             block[np.isnan(block)] = pred[np.isnan(block)]
@@ -327,7 +325,6 @@ def _benchmark_model_cfg(model_cfg, variant):
 
 
 def _full_window(values):
-    from .data import SpatioTemporalWindow
     w, n = values.shape
     return SpatioTemporalWindow(values=values,
                                 mask=np.ones((w, n), dtype=np.uint8),

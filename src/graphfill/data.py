@@ -93,6 +93,12 @@ class Dataset:
         base.update(kw)
         return Dataset(**base)
 
+    def rows(self, sl):
+        """The steps in slice `sl`, with the same stats and columns."""
+        return self.replace(values=self.values[sl], mask=self.mask[sl],
+                            eval_mask=self.eval_mask[sl],
+                            timestamps=self.timestamps[sl])
+
 
 @dataclass
 class SpatioTemporalWindow:

@@ -41,7 +41,7 @@ class EncodingParams:
     """Learnable spatial embeddings plus the fusion MLP ρ."""
 
     def __init__(self, n_nodes, periods=DEFAULT_PERIODS, d_v=DEFAULT_D_V,
-                 d_q=DEFAULT_D_Q, hidden=32, rng=None, fuse=None):
+                 d_q=DEFAULT_D_Q, hidden=32, rng=None):
         if n_nodes <= 0:
             raise ValidationError(f"need at least one node, got {n_nodes}")
         rng = np.random.default_rng(rng)
@@ -50,9 +50,8 @@ class EncodingParams:
         self.d_v = d_v
         self.spatial = T.Value(rng.normal(0.0, SPATIAL_INIT_STD, size=(n_nodes, d_v)),
                                requires_grad=True)
-        self.fuse = fuse if fuse is not None else Mlp([self.d_u + d_v, hidden, d_q],
-                                                      rng)
-        self.d_q = self.fuse.widths[-1]
+        self.fuse = Mlp([self.d_u + d_v, hidden, d_q], rng)
+        self.d_q = d_q
 
     @property
     def n_nodes(self) -> int:
@@ -73,12 +72,3 @@ class EncodingParams:
         v_flat = T.gather_rows(self.spatial, np.tile(np.arange(n_nodes), w))
         return self.fuse(T.concat([u_flat, v_flat], axis=-1))
 
-
-def positional_encoding(step, node, params: EncodingParams) -> T.Value:
-    """The code q for one (step, node) position, as a d_q vector."""
-    if not (0 <= node < params.n_nodes):
-        raise ValidationError(f"node {node} out of range [0, {params.n_nodes})")
-    u = T.Value(temporal_encoding([step], params.periods))
-    v = T.gather_rows(params.spatial, [node])
-    q = params.fuse(T.concat([u, v], axis=-1))
-    return T.reshape(q, (params.d_q,))

@@ -166,11 +166,3 @@ def load_edges_csv(path, n_nodes: int) -> SensorGraph:
                 raise ValidationError(f"edge file {path}: malformed row {row}")
             edges.append((int(row[0]), int(row[1]), float(row[2])))
     return SensorGraph(n_nodes, edges)
-
-
-def save_edges_csv(path, graph: SensorGraph):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["src", "dst", "weight"])
-        for s, d, w in zip(graph.src, graph.dst, graph.weight):
-            writer.writerow([int(s), int(d), repr(float(w))])

@@ -19,13 +19,17 @@ W steps of the learned states. A shared readout maps every block's states
 to value predictions; training supervises all of them, imputation uses
 the last.
 
-All message sets of one branch and layer are processed as one batch: a
-plan of flat index arrays (position p = τ·N + i) gathers senders and
-receivers, the batched message MLP runs once, and softmax/summation work
-on contiguous per-set segments. Message sets are materialized only for
-allowed (sender, receiver) pairs — masking is structural, never an
-additive penalty — so hidden values are unread by construction, and a
-masked-phase forward is bit-for-bit independent of them.
+All message sets of one branch and layer are processed as one batch of
+flat index arrays (position p = τ·N + i), a `MessageSets` record. Every
+set reads one key group: a node's observed steps (masked phase), all W of
+its steps (open phase), or, in spin-h, a node's K hubs. `message_sets`
+builds any branch from its key groups and its per-set (group, query)
+arrays with `repeat`/`cumsum`, no loop over nodes or edges: spin self
+sets run node-major then τ, cross sets edge-major then τ. Message sets
+are materialized only for allowed (sender, receiver) pairs — masking is
+structural, never an additive penalty — so hidden values are unread by
+construction, and a masked-phase forward is bit-for-bit independent of
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoding import EncodingParams
+from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_PERIODS, EncodingParams
 from .errors import ShapeError, ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
@@ -46,121 +50,115 @@ N_MASKED_LAYERS = 3
 
 
 @dataclass
-class AttentionPlan:
-    """Flat index arrays driving one phase's batched attention.
+class MessageSets:
+    """Flat index arrays of one attention branch's message sets.
 
-    Pair arrays run over every (key, query) pair of every message set;
-    `starts` marks each set's first row, `out_pos` the flat position its
-    context lands on. Cross-branch sets share out positions across edges
-    with the same destination, so scattering contexts already performs
-    the neighbor sum, accumulating in ascending-source order.
+    `key` and `query` run over every (key, query) pair of every set;
+    `starts` marks each set's first pair and `out` the row of an
+    `n_out`-row result that its context lands on. Cross-branch sets share
+    out rows across edges with the same destination, so scattering
+    contexts already performs the neighbor sum, in ascending-source order.
     """
-    masked: bool
-    n_positions: int
-    self_key: np.ndarray
-    self_query: np.ndarray
-    self_starts: np.ndarray
-    self_out: np.ndarray
-    cross_key: np.ndarray
-    cross_query: np.ndarray
-    cross_starts: np.ndarray
-    cross_out: np.ndarray
+    key: np.ndarray
+    query: np.ndarray
+    starts: np.ndarray
+    out: np.ndarray
+    n_out: int
 
     @property
-    def n_self_pairs(self) -> int:
-        return len(self.self_key)
-
-    @property
-    def n_cross_pairs(self) -> int:
-        return len(self.cross_key)
+    def n_pairs(self) -> int:
+        return len(self.key)
 
 
-def _empty_plan_side():
-    return [], [], [], []
+def message_sets(members, offsets, group, query, n_out) -> MessageSets:
+    """Sets that each read one key group, in the given set order.
+
+    Key group g holds members[offsets[g]:offsets[g + 1]]; set s reads
+    group[s], and its query index is also its out row, query[s]. Sets whose
+    group is empty are dropped (their contexts stay zero).
+    """
+    sizes = np.diff(offsets)[group]
+    keep = sizes > 0
+    group, query, sizes = group[keep], query[keep], sizes[keep]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    n_pairs = int(ends[-1]) if len(ends) else 0
+    key = members[np.repeat(offsets[group] - starts, sizes) + np.arange(n_pairs)]
+    return MessageSets(key=key, query=np.repeat(query, sizes), starts=starts,
+                       out=query, n_out=n_out)
 
 
-def build_attention_plan(input_mask, graph: SensorGraph, masked: bool) -> AttentionPlan:
-    """Index every message set for one phase.
+def node_steps(mask):
+    """Key groups of each node's nonzero steps as positions τ·N + i.
+
+    Returns (members, offsets) with node i's group at
+    members[offsets[i]:offsets[i + 1]], steps ascending.
+    """
+    w, n = mask.shape
+    flat = np.flatnonzero(mask.T)  # i·W + τ, node-major
+    offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=0))))
+    return (flat % w) * n + flat // w, offsets
+
+
+def step_sets(groups, dst, w, n):
+    """(group, query) of the sets (g, τ), g-major then τ.
+
+    Set (g, τ) reads key group groups[g] for the position τ·N + dst[g].
+    """
+    return np.repeat(groups, w), (np.arange(w) * n + dst[:, None]).ravel()
+
+
+def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
+    """(self_sets, cross_sets) of one phase.
 
     With `masked` set, node j contributes only its observed steps as keys;
     otherwise all W steps. Queries always run over all (node, step)
-    positions. Sets with zero keys are simply absent (their contexts stay
-    zero).
+    positions: the self branch has one set per (node, step), the cross
+    branch one per (edge, step).
     """
     w, n = input_mask.shape
     if graph.n_nodes != n:
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
-    if masked:
-        allowed = [np.flatnonzero(input_mask[:, i]).astype(np.intp) for i in range(n)]
-    else:
-        allowed = [np.arange(w, dtype=np.intp)] * n
-    taus = np.arange(w, dtype=np.intp)
-
-    s_key, s_query, s_starts, s_out = _empty_plan_side()
-    offset = 0
-    for i in range(n):
-        steps = allowed[i]
-        k = len(steps)
-        if k == 0:
-            continue
-        s_key.append(np.tile(steps * n + i, w))
-        s_query.append(np.repeat(taus * n + i, k))
-        s_starts.append(offset + np.arange(w, dtype=np.intp) * k)
-        s_out.append(taus * n + i)
-        offset += w * k
-
-    c_key, c_query, c_starts, c_out = _empty_plan_side()
-    offset = 0
-    for e in range(graph.n_edges):
-        j, i = graph.src[e], graph.dst[e]
-        steps = allowed[j]
-        k = len(steps)
-        if k == 0:
-            continue
-        c_key.append(np.tile(steps * n + j, w))
-        c_query.append(np.repeat(taus * n + i, k))
-        c_starts.append(offset + np.arange(w, dtype=np.intp) * k)
-        c_out.append(taus * n + i)
-        offset += w * k
-
-    def cat(parts):
-        return (np.concatenate(parts) if parts
-                else np.zeros(0, dtype=np.intp))
-
-    return AttentionPlan(
-        masked=masked, n_positions=w * n,
-        self_key=cat(s_key), self_query=cat(s_query),
-        self_starts=cat(s_starts), self_out=cat(s_out),
-        cross_key=cat(c_key), cross_query=cat(c_query),
-        cross_starts=cat(c_starts), cross_out=cat(c_out))
+    keys = node_steps(input_mask if masked else np.ones((w, n), dtype=bool))
+    nodes = np.arange(n)
+    return (message_sets(*keys, *step_sets(nodes, nodes, w, n), w * n),
+            message_sets(*keys, *step_sets(graph.src, graph.dst, w, n), w * n))
 
 
-class SpinParameters:
-    """All trainable state: encodings, init/readout MLPs, per-layer blocks."""
+class _Parameters:
+    """The encoding and init MLPs that both variants start from."""
 
-    def __init__(self, n_nodes, d_h=D_H, n_layers=N_LAYERS,
-                 n_masked=N_MASKED_LAYERS, hidden=32, periods=(24,),
-                 d_v=None, d_q=None, rng=None, encoding=None):
+    def __init__(self, n_nodes, d_h, n_layers, n_masked, hidden, periods,
+                 d_v, d_q, rng):
         if not (1 <= n_masked <= n_layers):
             raise ValidationError(
                 f"masked-layer count {n_masked} out of range [1, {n_layers}]")
-        rng = np.random.default_rng(rng)
         self.d_h = d_h
         self.n_layers = n_layers
         self.n_masked = n_masked
-        if encoding is not None:
-            self.encoding = encoding
-        else:
-            kw = {}
-            if d_v is not None:
-                kw["d_v"] = d_v
-            if d_q is not None:
-                kw["d_q"] = d_q
-            self.encoding = EncodingParams(n_nodes, periods=periods, hidden=hidden,
-                                           rng=rng, **kw)
-        d_q = self.encoding.d_q
+        self.encoding = EncodingParams(n_nodes, periods=periods, d_v=d_v,
+                                       d_q=d_q, hidden=hidden, rng=rng)
         self.init_target = Mlp([d_q, hidden, d_h], rng)
         self.init_observed = Mlp([1 + d_q, hidden, d_h], rng)
+
+    def _init_parameters(self):
+        return (list(self.encoding.named_parameters())
+                + self.init_target.named_parameters("init.target")
+                + self.init_observed.named_parameters("init.observed"))
+
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
+
+
+class SpinParameters(_Parameters):
+    """All trainable state: encodings, init/readout MLPs, per-layer blocks."""
+
+    def __init__(self, n_nodes, d_h=D_H, n_layers=N_LAYERS,
+                 n_masked=N_MASKED_LAYERS, hidden=32, periods=DEFAULT_PERIODS,
+                 d_v=DEFAULT_D_V, d_q=DEFAULT_D_Q, rng=None):
+        rng = np.random.default_rng(rng)
+        super().__init__(n_nodes, d_h, n_layers, n_masked, hidden, periods,
+                         d_v, d_q, rng)
         score_scale = 1.0 / np.sqrt(d_h)
         self.layers = []
         for _ in range(n_layers):
@@ -176,9 +174,7 @@ class SpinParameters:
         self.readout = Mlp([d_h, hidden, 1], rng)
 
     def named_parameters(self):
-        out = list(self.encoding.named_parameters())
-        out += self.init_target.named_parameters("init.target")
-        out += self.init_observed.named_parameters("init.observed")
+        out = self._init_parameters()
         for l, blk in enumerate(self.layers):
             out += blk["cross_msg"].named_parameters(f"layers.{l}.cross.message")
             out.append((f"layers.{l}.cross.score", blk["cross_score"]))
@@ -187,9 +183,6 @@ class SpinParameters:
             out += blk["update"].named_parameters(f"layers.{l}.update")
         out += self.readout.named_parameters("readout")
         return out
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
 
 
 @dataclass
@@ -253,39 +246,24 @@ def attend(key_src, query_src, key_idx, query_idx, starts, out_pos, n_out,
     return out, audit
 
 
-def _forward_flat(x_leaf, q_flat, input_mask_flat, masked_plan, open_plan,
-                  params, n_layers, n_masked, collect_alphas):
-    """Layer stack over one window's flattened positions (p = τ·N + i).
+def init_states(params, window, values, input_mask):
+    """(x_leaf, h): the value leaf and the layer-0 states of every position.
 
-    Returns (readouts_flat, pairs_per_layer, alphas).
+    Row p = τ·N + i of h is init_observed([x, q]) where the input mask is
+    1 and init_target(q) elsewhere; x_leaf is the value array the pass
+    reads from, kept so callers can inspect input gradients.
     """
-    n_pos = len(input_mask_flat)
-    obs_pos = np.flatnonzero(input_mask_flat == 1)
-    targ_pos = np.flatnonzero(input_mask_flat == 0)
+    w, n = values.shape
+    x_leaf = T.Value(values.reshape(w * n, 1), requires_grad=True)
+    q_flat = params.encoding.codes_flat(window.step_offsets, n)
+    obs_pos = np.flatnonzero(input_mask.ravel() == 1)
+    targ_pos = np.flatnonzero(input_mask.ravel() == 0)
     h_obs = params.init_observed(T.concat(
         [T.gather_rows(x_leaf, obs_pos, unique=True),
          T.gather_rows(q_flat, obs_pos, unique=True)], axis=-1))
     h_targ = params.init_target(T.gather_rows(q_flat, targ_pos, unique=True))
-    h = T.add(T.scatter_rows(h_obs, obs_pos, n_pos),
-              T.scatter_rows(h_targ, targ_pos, n_pos))
-
-    readouts, pairs, alphas = [], [], []
-    for l in range(n_layers):
-        plan = masked_plan if l < n_masked else open_plan
-        blk = params.layers[l]
-        c, a_self = attend(h, h, plan.self_key, plan.self_query, plan.self_starts,
-                           plan.self_out, plan.n_positions,
-                           blk["self_msg"], blk["self_score"], collect_alphas)
-        e, a_cross = attend(h, h, plan.cross_key, plan.cross_query,
-                            plan.cross_starts, plan.cross_out, plan.n_positions,
-                            blk["cross_msg"], blk["cross_score"], collect_alphas)
-        h = blk["update"](T.concat([h, c, e], axis=-1))
-        readouts.append(params.readout(h))
-        pairs.append({"self": plan.n_self_pairs, "cross": plan.n_cross_pairs,
-                      "masked": plan.masked})
-        if collect_alphas:
-            alphas.append({"self": a_self, "cross": a_cross})
-    return readouts, pairs, alphas
+    return x_leaf, T.add(T.scatter_rows(h_obs, obs_pos, w * n),
+                         T.scatter_rows(h_targ, targ_pos, w * n))
 
 
 def _resolve_depth(params, n_layers, n_masked):
@@ -325,16 +303,27 @@ def spin_forward(window, graph: SensorGraph, params: SpinParameters,
     n_layers, n_masked = _resolve_depth(params, n_layers, n_masked)
     values, input_mask = _check_window(window, input_mask, graph)
     w, n = values.shape
+    phases = [build_attention_plan(input_mask, graph, masked=True)]
+    if n_masked < n_layers:
+        phases.append(build_attention_plan(input_mask, graph, masked=False))
+    x_leaf, h = init_states(params, window, values, input_mask)
 
-    x_leaf = T.Value(values.reshape(w * n, 1), requires_grad=True)
-    q_flat = params.encoding.codes_flat(window.step_offsets, n)
-    masked_plan = build_attention_plan(input_mask, graph, masked=True)
-    open_plan = (build_attention_plan(input_mask, graph, masked=False)
-                 if n_masked < n_layers else None)
-
-    readouts, pairs, alphas = _forward_flat(
-        x_leaf, q_flat, input_mask.ravel(), masked_plan, open_plan,
-        params, n_layers, n_masked, collect_alphas)
+    readouts, pairs, alphas = [], [], []
+    for l in range(n_layers):
+        self_sets, cross_sets = phases[0 if l < n_masked else 1]
+        blk = params.layers[l]
+        c, a_self = attend(h, h, self_sets.key, self_sets.query, self_sets.starts,
+                           self_sets.out, self_sets.n_out,
+                           blk["self_msg"], blk["self_score"], collect_alphas)
+        e, a_cross = attend(h, h, cross_sets.key, cross_sets.query,
+                            cross_sets.starts, cross_sets.out, cross_sets.n_out,
+                            blk["cross_msg"], blk["cross_score"], collect_alphas)
+        h = blk["update"](T.concat([h, c, e], axis=-1))
+        readouts.append(params.readout(h))
+        pairs.append({"self": self_sets.n_pairs, "cross": cross_sets.n_pairs,
+                      "masked": l < n_masked})
+        if collect_alphas:
+            alphas.append({"self": a_self, "cross": a_cross})
     return ImputationOutput(
         readouts=[T.reshape(r, (w, n)) for r in readouts],
         x_leaf=x_leaf, values=values, input_mask=input_mask.copy(),

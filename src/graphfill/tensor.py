@@ -7,7 +7,7 @@ no active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
 The op set is deliberately small: elementwise arithmetic, matmul against a
-2-D weight, concat/reshape/row slices, relu/exp/abs/clamp, axis sums, row
+2-D weight, concat/reshape/row slices, relu/abs/clamp, axis sums, row
 gather and scatter, and one fused op for a whole attention branch (pair
 messages, per-set softmax and weighted sum). That is enough for MLPs,
 softmax attention over variable-size message sets, and training.
@@ -246,13 +246,6 @@ def relu(a):
     a = as_value(a)
     return _make_output(np.maximum(a.data, 0.0), (a,),
                         lambda g: (g * (a.data > 0.0),))
-
-
-def vexp(a):
-    a = as_value(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    return _make_output(data, (a,), lambda g: (g * data,))
 
 
 def clamp(a, lo, hi):

@@ -133,17 +133,8 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     if n_train_steps < config.width:
         raise ValidationError(
             f"training split has {n_train_steps} steps, need >= {config.width}")
-    train_view = Dataset(values=dataset.values[train_sl],
-                         mask=dataset.mask[train_sl],
-                         eval_mask=dataset.eval_mask[train_sl],
-                         timestamps=dataset.timestamps[train_sl],
-                         stats=dataset.stats, columns=dataset.columns)
-    val_view = Dataset(values=dataset.values[val_sl],
-                       mask=dataset.mask[val_sl],
-                       eval_mask=dataset.eval_mask[val_sl],
-                       timestamps=dataset.timestamps[val_sl],
-                       stats=dataset.stats, columns=dataset.columns)
-    val_windows = make_windows(val_view, config.width, config.stride)
+    train_view = dataset.rows(train_sl)
+    val_windows = make_windows(dataset.rows(val_sl), config.width, config.stride)
     val_masks = _val_input_and_loss_masks(val_windows, config.seed)
     if all(m is None for m in val_masks):
         raise ValidationError("validation split has no usable windows")
@@ -319,12 +310,7 @@ def baseline_knn(window: SpatioTemporalWindow, graph: SensorGraph, node_means):
 
 def _test_windows(dataset: Dataset, width, stride, split):
     _, _, test_sl = split_slices(dataset.n_steps, split)
-    test_view = Dataset(values=dataset.values[test_sl],
-                        mask=dataset.mask[test_sl],
-                        eval_mask=dataset.eval_mask[test_sl],
-                        timestamps=dataset.timestamps[test_sl],
-                        stats=dataset.stats, columns=dataset.columns)
-    return make_windows(test_view, width, stride)
+    return make_windows(dataset.rows(test_sl), width, stride)
 
 
 def _score_windows(windows, predict, stats, n_nodes):

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import graphfill.tensor as T
-from graphfill.encoding import (EncodingParams, positional_encoding,
-                                temporal_encoding)
+from graphfill.encoding import EncodingParams, temporal_encoding
 from graphfill.errors import ValidationError
+
+
+def positional_encoding(step, node, params: EncodingParams) -> T.Value:
+    """The code q for one (step, node) position, as a d_q vector."""
+    if not (0 <= node < params.n_nodes):
+        raise ValidationError(f"node {node} out of range [0, {params.n_nodes})")
+    u = T.Value(temporal_encoding([step], params.periods))
+    v = T.gather_rows(params.spatial, [node])
+    q = params.fuse(T.concat([u, v], axis=-1))
+    return T.reshape(q, (params.d_q,))
 
 
 def test_temporal_encoding_shape_and_values():

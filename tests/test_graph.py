@@ -1,5 +1,6 @@
 """Sensor-graph construction, kernel adjacency, and k-hop restriction."""
 
+import csv
 import os
 
 import numpy as np
@@ -7,8 +8,15 @@ import pytest
 
 from graphfill.errors import ShapeError, ValidationError
 from graphfill.graph import (SensorGraph, build_adjacency_gaussian,
-                             khop_subgraph, load_distances_csv, load_edges_csv,
-                             save_edges_csv)
+                             khop_subgraph, load_distances_csv, load_edges_csv)
+
+
+def save_edges_csv(path, graph: SensorGraph):
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["src", "dst", "weight"])
+        for s, d, w in zip(graph.src, graph.dst, graph.weight):
+            writer.writerow([int(s), int(d), repr(float(w))])
 
 
 def line_graph(n, w=1.0):

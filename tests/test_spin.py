@@ -312,14 +312,67 @@ def test_window_graph_shape_mismatch():
         spin_forward(window, other, params)
 
 
+def naive_sets(sets):
+    """Index arrays of (keys, query) sets built one set at a time."""
+    key, query, starts, out = [], [], [], []
+    for keys, q in sets:
+        if not keys:
+            continue  # an empty set is absent
+        starts.append(len(key))
+        key += keys
+        query += [q] * len(keys)
+        out.append(q)
+    return [np.array(a, dtype=np.intp) for a in (key, query, starts, out)]
+
+
+def assert_sets_equal(got, sets, n_out):
+    want = naive_sets(sets)
+    for name, a, b in zip(("key", "query", "starts", "out"),
+                          (got.key, got.query, got.starts, got.out), want):
+        assert a.dtype == np.intp, name
+        assert np.array_equal(a, b), name
+    assert got.n_out == n_out and got.n_pairs == len(want[0])
+
+
 def test_plan_masked_sets_only_cover_observed_keys():
+    from graphfill.spin_h import HubPlan
+
     rng = np.random.default_rng(12)
     mask = (rng.random((5, 3)) < 0.5).astype(np.uint8)
-    graph = SensorGraph(3, [(0, 1, 1.0), (2, 1, 0.5), (1, 0, 2.0)])
-    plan = build_attention_plan(mask, graph, masked=True)
-    n = 3
-    for k, q in zip(plan.self_key, plan.self_query):
-        assert k % n == q % n           # same node
-        assert mask[k // n, k % n] == 1  # key step observed
-    for k, q in zip(plan.cross_key, plan.cross_query):
-        assert mask[k // n, k % n] == 1
+    mask[:, 2] = 0  # node 2 observes nothing: its self and out-edge sets vanish
+    cases = [(mask, SensorGraph(3, [(0, 1, 1.0), (2, 1, 0.5), (1, 0, 2.0)])),
+             (mask, SensorGraph(3, [])),                      # no edges
+             (mask[:1], SensorGraph(3, [(0, 2, 1.0), (1, 2, 1.0)])),  # W = 1
+             ((rng.random((7, 4)) < 0.5).astype(np.uint8),
+              SensorGraph(4, [(s, d, 1.0) for s in range(4) for d in range(4)
+                              if s != d]))]
+    n_hubs = 3
+    for mask, graph in cases:
+        w, n = mask.shape
+        edges = list(zip(graph.src.tolist(), graph.dst.tolist()))
+        plan = HubPlan(mask, graph, n_hubs, with_open=True)
+        for masked in (True, False):
+            steps = [[s for s in range(w) if mask[s, i] or not masked]
+                     for i in range(n)]
+            self_sets, cross_sets = build_attention_plan(mask, graph, masked)
+            assert_sets_equal(self_sets, [([s * n + i for s in steps[i]], t * n + i)
+                                          for i in range(n) for t in range(w)], w * n)
+            assert_sets_equal(cross_sets, [([s * n + j for s in steps[j]], t * n + i)
+                                           for j, i in edges for t in range(w)],
+                              w * n)
+            assert_sets_equal(plan.masked_hub if masked else plan.open_hub,
+                              [([s * n + i for s in steps[i]], i * n_hubs + k)
+                               for i in range(n) for k in range(n_hubs)],
+                              n * n_hubs)
+            if masked:
+                for k, q in zip(self_sets.key, self_sets.query):
+                    assert k % n == q % n           # same node
+                    assert mask[k // n, k % n] == 1  # key step observed
+                for k in cross_sets.key:
+                    assert mask[k // n, k % n] == 1
+        hubs = [[j * n_hubs + k for k in range(n_hubs)] for j in range(n)]
+        assert_sets_equal(plan.read_self, [(hubs[p % n], p) for p in range(w * n)],
+                          w * n)
+        assert_sets_equal(plan.read_cross, [(hubs[j], t * n + i)
+                                            for j, i in edges for t in range(w)],
+                          w * n)

@@ -135,6 +135,13 @@ def softmax_stable(a, axis=-1):
     return T._make_output(y, (a,), backfn)
 
 
+def vexp(a):
+    a = T.as_value(a)
+    with np.errstate(over="ignore"):
+        data = np.exp(a.data)
+    return T._make_output(data, (a,), lambda g: (g * data,))
+
+
 def segment_softmax(logits, starts):
     """Softmax within each contiguous segment of a (P, 1) logit column.
 
@@ -147,7 +154,7 @@ def segment_softmax(logits, starts):
     counts = _segment_starts_to_counts(starts, total)
     m = segment_max_raw(logits.data, starts)
     shifted = T.sub(logits, np.repeat(m, counts, axis=0))
-    e = T.vexp(T.clamp(shifted, -T.LOGIT_SPAN, T.LOGIT_SPAN))
+    e = vexp(T.clamp(shifted, -T.LOGIT_SPAN, T.LOGIT_SPAN))
     denom = segment_sum(e, starts)
     return T.div(e, repeat_rows(denom, counts))
 
