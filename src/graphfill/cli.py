@@ -17,13 +17,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from . import tensor as T
 from .checkpoint import load_params, save_params
-from .config import RunConfig, build_params, load_run_config, train_config_from
+from .config import InjectConfig, RunConfig, build_params, load_run_config
 from .data import (Dataset, SpatioTemporalWindow, inject_block_missing,
                    inject_point_missing, inject_sparsity_sweep, load_dataset,
                    normalize, save_grid_csv, split_slices)
@@ -40,17 +41,8 @@ BENCHMARK_WIDTHS = (8, 16, 32, 64)
 
 
 def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
-
-
-def _write_snapshot(cfg: RunConfig, command: str):
-    path = os.path.join(_outdir(cfg), f"resolved_config.{command}.json")
-    with open(path, "w") as f:
-        json.dump({"command": command, "version": __version__,
-                   "config": cfg.to_dict()}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    os.makedirs(cfg.output.dir, exist_ok=True)
+    return cfg.output.dir
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
@@ -61,50 +53,46 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
     return path
 
 
+def _write_snapshot(cfg: RunConfig, command: str):
+    return _write_json(cfg, f"resolved_config.{command}.json",
+                       {"command": command, "version": __version__,
+                        "config": cfg.to_dict()})
+
+
 def build_graph(cfg: RunConfig, n_nodes: int) -> SensorGraph:
     data = cfg.data
     if data.distances_csv is not None:
         distances = load_distances_csv(data.distances_csv)
-        if distances.shape[0] != n_nodes:
+        if distances.shape != (n_nodes, n_nodes):
             raise ValidationError(
-                f"distance matrix is {distances.shape[0]}x{distances.shape[1]} "
-                f"but the series has {n_nodes} sensors")
+                f"{data.distances_csv}: distance matrix is {distances.shape[0]}x"
+                f"{distances.shape[1]} but the series has {n_nodes} sensors")
         return build_adjacency_gaussian(distances, data.gamma, data.delta)
     return load_edges_csv(data.edges_csv, n_nodes)
 
 
-def apply_inject(dataset: Dataset, policy: str, params: dict, seed: int):
-    """Move observations into the evaluation mask per the configured policy."""
-    if policy == "none":
+INJECTORS = {"point": inject_point_missing, "sweep": inject_sparsity_sweep,
+             "block": inject_block_missing}
+
+
+def apply_inject(dataset: Dataset, inject: InjectConfig):
+    """Move observations into the evaluation mask per the configured policy.
+
+    The policy's params are the injector's keyword arguments; params left
+    out take the injector's defaults.
+    """
+    if inject.policy == "none":
         return dataset
-    if policy == "point":
-        mask, dropped = inject_point_missing(dataset.mask,
-                                             rate=params.get("rate", 0.25),
-                                             rng=seed)
-    elif policy == "sweep":
-        if "p" not in params:
-            raise ValidationError("inject policy 'sweep' needs params.p")
-        mask, dropped = inject_sparsity_sweep(dataset.mask, p=params["p"],
-                                              rng=seed)
-    elif policy == "block":
-        mask, dropped = inject_block_missing(
-            dataset.mask, point_rate=params.get("point_rate", 0.05),
-            failure_prob=params.get("failure_prob", 0.0015),
-            len_min=params.get("len_min", 12),
-            len_max=params.get("len_max", 48), rng=seed)
-    else:
-        raise ValidationError(f"unknown inject policy {policy!r}")
+    mask, dropped = INJECTORS[inject.policy](dataset.mask, rng=inject.seed,
+                                             **inject.params)
     return dataset.replace(mask=mask,
                            eval_mask=(dataset.eval_mask | dropped).astype(np.uint8))
 
 
 def prepare(cfg: RunConfig):
     """Load, inject, and normalize; returns (dataset, stats, graph, raw)."""
-    if cfg.data is None:
-        raise ValidationError("this command needs a 'data' config section")
-    raw = load_dataset(cfg.data.values_csv, cfg.data.mask_csv)
-    raw = apply_inject(raw, cfg.inject.policy, cfg.inject.params,
-                       cfg.inject.seed)
+    raw = apply_inject(load_dataset(cfg.data.values_csv, cfg.data.mask_csv),
+                       cfg.inject)
     train_sl, _, _ = split_slices(raw.n_steps, cfg.data.split)
     dataset, stats = normalize(raw, train_sl)
     graph = build_graph(cfg, raw.n_nodes)
@@ -112,15 +100,13 @@ def prepare(cfg: RunConfig):
 
 
 def _default_checkpoint(cfg: RunConfig) -> str:
-    return os.path.join(cfg.output_dir, "checkpoint.json")
+    return os.path.join(cfg.output.dir, "checkpoint.json")
 
 
 def cmd_synth(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     s = cfg.synth
-    res = synth_series(n_nodes=s.n_nodes, n_steps=s.n_steps, seed=s.seed,
-                       periods=s.periods, noise_std=s.noise_std,
-                       target_neighbors=s.target_neighbors)
+    res = synth_series(**vars(s))  # the section's keys are its arguments
     header = [f"s{i:02d}" for i in range(s.n_nodes)]
     values_path = os.path.join(out, "values.csv")
     save_grid_csv(values_path, res.values, header=header)
@@ -144,8 +130,7 @@ def cmd_inject(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     raw = load_dataset(cfg.data.values_csv, cfg.data.mask_csv)
     n_before = int(raw.mask.sum())
-    injected = apply_inject(raw, cfg.inject.policy, cfg.inject.params,
-                            cfg.inject.seed)
+    injected = apply_inject(raw, cfg.inject)
     mask_path = os.path.join(out, "mask.csv")
     eval_path = os.path.join(out, "eval_mask.csv")
     save_grid_csv(mask_path, injected.mask.astype(int), fmt="%d")
@@ -169,14 +154,13 @@ def cmd_train(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     dataset, _, graph, _ = prepare(cfg)
     params = build_params(cfg.model, dataset.n_nodes, cfg.train.seed)
-    tcfg = train_config_from(cfg)
     t0 = time.time()
 
     def report(row):
         print(f"epoch {row['epoch']:3d}  loss {row['train_loss']:.5f}  "
               f"val_mae {row['val_mae']:.5f}  lr {row['lr']:.2e}", flush=True)
 
-    params, history, best_val = train(dataset, graph, tcfg, params,
+    params, history, best_val = train(dataset, graph, cfg.train, params,
                                       progress=report)
     ckpt_path = _default_checkpoint(cfg)
     save_params(ckpt_path, params.named_parameters())
@@ -236,14 +220,10 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str) -> int:
     dataset, _, graph, _ = prepare(cfg)
     params = _load_model(cfg, dataset.n_nodes, checkpoint_path)
-    width, stride, split = cfg.data.width, cfg.data.stride, cfg.data.split
-    metrics = {
-        cfg.model.variant: evaluate(params, dataset, graph, width, stride,
-                                    split),
-        "mean": evaluate_baseline("mean", dataset, graph, width, stride,
-                                  split),
-        "knn": evaluate_baseline("knn", dataset, graph, width, stride, split),
-    }
+    windows = cfg.data.width, cfg.data.stride, cfg.data.split
+    metrics = {cfg.model.variant: evaluate(params, dataset, graph, *windows)}
+    for kind in ("mean", "knn"):
+        metrics[kind] = evaluate_baseline(kind, dataset, graph, *windows)
     path = _write_json(cfg, "metrics.json", metrics)
     _write_snapshot(cfg, "evaluate")
     for name in (cfg.model.variant, "mean", "knn"):
@@ -264,17 +244,18 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     report = {"n_nodes": n, "n_edges": e, "widths": list(BENCHMARK_WIDTHS),
               "variants": {}}
     for variant in ("spin", "spin-h"):
-        model_cfg = cfg.model
+        # both variants at depth 2, whatever the config's variant
+        model_cfg = replace(cfg.model, variant=variant, n_layers=2, n_masked=1)
         fwd = spin_forward if variant == "spin" else spinh_forward
-        cases = [(build_params(_benchmark_model_cfg(model_cfg, variant), n,
-                               b.seed), _full_window(rng.normal(size=(width, n))))
+        cases = [(build_params(model_cfg, n, b.seed),
+                  _full_window(rng.normal(size=(width, n))))
                  for width in BENCHMARK_WIDTHS]
         # Repeats cycle through the widths, so a machine that runs slowly
         # for a while (CPUs waking from idle) slows every width alike and
         # the best time per width stays comparable.
         best = [np.inf] * len(cases)
         outs = [None] * len(cases)
-        for _ in range(max(1, b.repeats)):
+        for _ in range(b.repeats):
             for k, (params, win) in enumerate(cases):
                 t0 = time.perf_counter()
                 with T.no_grad():
@@ -292,19 +273,14 @@ def cmd_benchmark(cfg: RunConfig) -> int:
                 observed = (open_layer["hub"] + open_layer["self"]
                             + open_layer["cross"])
                 expected = (n + e) * params.n_hubs * width + n * width * params.n_hubs
+            # exact closed forms also fix the growth per doubling of W:
+            # x4 for spin, x2 for spin-h
             if observed != expected:
                 raise GraphfillError(
                     f"{variant} W={width}: attention pair count {observed} != "
                     f"closed form {expected}")
             entries.append({"W": width, "pairs_per_open_layer": observed,
                             "wall_s": wall})
-        for prev, cur in zip(entries, entries[1:]):
-            ratio = cur["pairs_per_open_layer"] / prev["pairs_per_open_layer"]
-            want = 4.0 if variant == "spin" else 2.0
-            if ratio != want:
-                raise GraphfillError(
-                    f"{variant}: pair count grew x{ratio} when W doubled, "
-                    f"expected x{want}")
         report["variants"][variant] = entries
     path = _write_json(cfg, "complexity_report.json", report)
     _write_snapshot(cfg, "benchmark")
@@ -316,20 +292,19 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     return 0
 
 
-def _benchmark_model_cfg(model_cfg, variant):
-    """Benchmark both variants at depth 2 regardless of the config variant."""
-    from .config import ModelConfig
-    return ModelConfig(variant=variant, n_layers=2, n_masked=1,
-                       d_h=model_cfg.d_h, hidden=model_cfg.hidden,
-                       hubs=model_cfg.hubs, encoding=model_cfg.encoding)
-
-
 def _full_window(values):
     w, n = values.shape
     return SpatioTemporalWindow(values=values,
                                 mask=np.ones((w, n), dtype=np.uint8),
                                 eval_mask=np.zeros((w, n), dtype=np.uint8),
                                 step_offsets=np.arange(w, dtype=np.float64))
+
+
+COMMANDS = {"synth": cmd_synth, "inject": cmd_inject, "train": cmd_train,
+            "impute": cmd_impute, "evaluate": cmd_evaluate,
+            "benchmark": cmd_benchmark}
+NEEDS_DATA = ("inject", "train", "impute", "evaluate")
+NEEDS_CHECKPOINT = ("impute", "evaluate")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -339,14 +314,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "sensor-network series.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_ckpt in (("synth", False), ("inject", False),
-                             ("train", False), ("impute", True),
-                             ("evaluate", True), ("benchmark", False)):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--output-dir", default=None,
                        help="override output.dir from the config")
-        if needs_ckpt:
+        if name in NEEDS_CHECKPOINT:
             p.add_argument("--checkpoint", default=None,
                            help="parameter file (default: <output>/checkpoint.json)")
     return parser
@@ -357,21 +330,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config)
         if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "inject":
-            return cmd_inject(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        ckpt = getattr(args, "checkpoint", None) or _default_checkpoint(cfg)
-        if args.command == "impute":
-            return cmd_impute(cfg, ckpt)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, ckpt)
-        if args.command == "benchmark":
-            return cmd_benchmark(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+            cfg.output.dir = args.output_dir
+        if cfg.data is None and args.command in NEEDS_DATA:
+            raise ValidationError(
+                f"{args.config}: '{args.command}' needs a 'data' section")
+        if args.command in NEEDS_CHECKPOINT:
+            return COMMANDS[args.command](
+                cfg, args.checkpoint or _default_checkpoint(cfg))
+        return COMMANDS[args.command](cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,14 +1,25 @@
-"""JSON run configuration: parsing, validation, defaults, and factories.
+"""JSON run configuration: one schema, one reader, one writer.
 
 A run config is one JSON document with sections
 
     data      where the series and the graph come from
-    model     architecture variant and dimensions
+    model     architecture variant and dimensions (with hubs, encoding)
     train     optimization schedule
     inject    missing-data policy applied on top of the loaded mask
     output    artifact directory
     synth     synthetic-generator knobs (synth command only)
     benchmark complexity-report knobs (benchmark command only)
+
+Each section is a dataclass whose fields are declared with `opt`: the
+field's JSON key, its kind (int, number, bool, str, a list of numbers, a
+free object, or a nested section class), its default and its range.
+`parse(cls, d, where)` reads any section, nested ones included: it
+rejects unknown keys, wrong types, out-of-range values and sections that
+are not objects, and every message names the dotted field
+('model.hubs.K'). `dump(obj)` writes a section back out under the same
+keys, and `check(obj, where)` re-runs the field checks on a section
+built in code. Rules that span fields live in each section's `resolve`,
+which `parse` calls after the field checks.
 
 Everything except file paths and the subcommand lives in the config so a
 run is reproducible from its resolved snapshot alone.
@@ -18,342 +29,325 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ValidationError
 
 VARIANTS = ("spin", "spin-h")
-POLICIES = ("point", "block", "sweep", "none")
+INJECT_PARAMS = {  # policy: the params it accepts
+    "point": ("rate",),
+    "block": ("point_rate", "failure_prob", "len_min", "len_max"),
+    "sweep": ("p",),
+    "none": ()}
+POLICIES = tuple(INJECT_PARAMS)
 
 
-def _require_keys(section, mapping, known):
-    unknown = set(mapping) - set(known)
-    if unknown:
+def _is_number(v):
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+# kind: (description, accepts, convert)
+KINDS = {
+    "int": ("an integer",
+            lambda v: isinstance(v, Integral) and not isinstance(v, bool), int),
+    "number": ("a number", _is_number, float),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "numbers": ("a non-empty list of numbers",
+                lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                and all(map(_is_number, v)),
+                lambda v: tuple(map(float, v))),
+    "object": ("an object", lambda v: isinstance(v, dict), dict),
+}
+
+
+def opt(key, kind, default=MISSING, ge=None, gt=None, choices=None):
+    """Declare a section field.
+
+    key is its JSON key (None keeps it out of the document: code fills
+    it); kind is a KINDS name or a section class; ge/gt bound a number or
+    every entry of a list; choices lists the allowed values. A field
+    whose default is None may be given as null, meaning unset.
+    """
+    meta = {"key": key, "kind": kind, "ge": ge, "gt": gt, "choices": choices}
+    if default is MISSING and is_dataclass(kind):
+        return field(default_factory=kind, metadata=meta)
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+# W, stride and split: keys of `data`, copied into the trainer's config
+WINDOW = {"kind": "int", "ge": 1}
+SPLIT = {"kind": "numbers", "gt": 0}
+
+
+def _join(where, key):
+    return f"{where}.{key}" if where else key
+
+
+def _value(f, raw, where):
+    """One field's value checked against its declaration, converted."""
+    meta = f.metadata
+    kind = meta["kind"]
+    if raw is None and f.default is None:  # null leaves an optional field unset
+        return None
+    if is_dataclass(kind):
+        return check(raw, where) if isinstance(raw, kind) else parse(kind, raw, where)
+    what, accepts, convert = KINDS[kind]
+    if not accepts(raw):
+        raise ValidationError(f"'{where}' must be {what}, got {raw!r}")
+    value = convert(raw)
+    entries = value if kind == "numbers" else (value,)
+    if meta["ge"] is not None and not all(x >= meta["ge"] for x in entries):
+        raise ValidationError(f"'{where}' must be >= {meta['ge']}, got {raw!r}")
+    if meta["gt"] is not None and not all(x > meta["gt"] for x in entries):
+        raise ValidationError(f"'{where}' must be > {meta['gt']}, got {raw!r}")
+    if meta["choices"] is not None and value not in meta["choices"]:
         raise ValidationError(
-            f"unknown key(s) in '{section}': {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}")
-
-
-def _typed(section, key, value, kinds, predicate=None, what=""):
-    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in (
-            kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ValidationError(f"'{section}.{key}' has wrong type: {value!r}")
-    if predicate is not None and not predicate(value):
-        raise ValidationError(f"'{section}.{key}' must be {what}, got {value!r}")
+            f"'{where}' must be one of {meta['choices']}, got {raw!r}")
     return value
+
+
+def parse(cls, d, where):
+    """Read section `cls` from the JSON object `d`; `where` is its dotted name."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"'{where or 'config root'}' must be an object, "
+                              f"got {d!r}")
+    known = {f.metadata["key"]: f for f in fields(cls)
+             if f.metadata["key"] is not None}
+    for key in d:
+        if key not in known:
+            raise ValidationError(f"'{_join(where, key)}' is not a known key; "
+                                  f"expected one of {sorted(known)}")
+    kwargs = {}
+    for key, f in known.items():
+        if key in d:
+            kwargs[f.name] = _value(f, d[key], _join(where, key))
+        elif f.default_factory is f.metadata["kind"]:  # absent section: its defaults
+            kwargs[f.name] = parse(f.default_factory, {}, _join(where, key))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"'{_join(where, key)}' is required")
+    obj = cls(**kwargs)
+    if hasattr(obj, "resolve"):
+        obj.resolve()  # rules that span fields
+    return obj
+
+
+def check(obj, where):
+    """Run the field checks of `parse` on a section built in code."""
+    for f in fields(obj):
+        _value(f, getattr(obj, f.name), _join(where, f.metadata["key"] or f.name))
+    return obj
+
+
+def dump(obj):
+    """The JSON object of a section, under its declared keys."""
+    out = {}
+    for f in fields(obj):
+        if f.metadata["key"] is None:
+            continue
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = dump(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[f.metadata["key"]] = value
+    return out
 
 
 @dataclass
 class DataConfig:
-    values_csv: str
-    mask_csv: str = None
-    distances_csv: str = None
-    edges_csv: str = None
-    gamma: float = None
-    delta: float = None
-    width: int = 24
-    stride: int = 24
-    split: tuple = (0.7, 0.1, 0.2)
+    values_csv: str = opt("values_csv", "str")
+    mask_csv: str = opt("mask_csv", "str", None)
+    distances_csv: str = opt("distances_csv", "str", None)
+    edges_csv: str = opt("edges_csv", "str", None)
+    gamma: float = opt("gamma", "number", None, gt=0)
+    delta: float = opt("delta", "number", None, gt=0)
+    width: int = opt("W", default=24, **WINDOW)
+    stride: int = opt("stride", default=None, **WINDOW)  # None: W
+    split: tuple = opt("split", default=(0.7, 0.1, 0.2), **SPLIT)
 
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("data", d, {"values_csv", "mask_csv", "distances_csv",
-                                  "edges_csv", "gamma", "delta", "W", "stride",
-                                  "split"})
-        if "values_csv" not in d:
-            raise ValidationError("'data.values_csv' is required")
-        has_dist = d.get("distances_csv") is not None
-        has_edges = d.get("edges_csv") is not None
-        if has_dist == has_edges:
+    def resolve(self):
+        if (self.distances_csv is None) == (self.edges_csv is None):
             raise ValidationError(
                 "exactly one of 'data.distances_csv' / 'data.edges_csv' is required")
-        if has_dist:
+        if self.distances_csv is not None:
             for k in ("gamma", "delta"):
-                if d.get(k) is None:
+                if getattr(self, k) is None:
                     raise ValidationError(
                         f"'data.{k}' is required with 'data.distances_csv'")
-                _typed("data", k, d[k], (int, float), lambda v: v > 0, "positive")
-        width = _typed("data", "W", d.get("W", 24), int, lambda v: v >= 1,
-                       "a positive integer")
-        stride = _typed("data", "stride", d.get("stride", width), int,
-                        lambda v: v >= 1, "a positive integer")
-        split = tuple(d.get("split", (0.7, 0.1, 0.2)))
-        if len(split) != 3 or any(not isinstance(f, (int, float)) or f <= 0
-                                  for f in split) or abs(sum(split) - 1.0) > 1e-9:
+        if self.stride is None:
+            self.stride = self.width
+        if len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9:
             raise ValidationError(
-                f"'data.split' must be three positive fractions summing to 1, got {split}")
-        return cls(values_csv=d["values_csv"], mask_csv=d.get("mask_csv"),
-                   distances_csv=d.get("distances_csv"),
-                   edges_csv=d.get("edges_csv"),
-                   gamma=None if d.get("gamma") is None else float(d["gamma"]),
-                   delta=None if d.get("delta") is None else float(d["delta"]),
-                   width=width, stride=stride, split=split)
-
-    def to_dict(self):
-        d = asdict(self)
-        d["W"] = d.pop("width")
-        d["split"] = list(self.split)
-        return d
+                "'data.split' must be three positive fractions summing to 1, "
+                f"got {list(self.split)}")
 
 
 @dataclass
 class HubConfig:
-    n_hubs: int = 4
-    d_z: int = 128
-    per_node_hubs: bool = False
-
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("model.hubs", d, {"K", "d_z", "per_node_hubs"})
-        return cls(
-            n_hubs=_typed("model.hubs", "K", d.get("K", 4), int,
-                          lambda v: v >= 1, "a positive integer"),
-            d_z=_typed("model.hubs", "d_z", d.get("d_z", 128), int,
-                       lambda v: v >= 1, "a positive integer"),
-            per_node_hubs=_typed("model.hubs", "per_node_hubs",
-                                 d.get("per_node_hubs", False), bool))
-
-    def to_dict(self):
-        return {"K": self.n_hubs, "d_z": self.d_z,
-                "per_node_hubs": self.per_node_hubs}
+    n_hubs: int = opt("K", "int", 4, ge=1)
+    d_z: int = opt("d_z", "int", 128, ge=1)
+    per_node_hubs: bool = opt("per_node_hubs", "bool", False)
 
 
 @dataclass
 class EncodingConfig:
-    periods: tuple = (24.0,)
-    d_v: int = 16
-    d_q: int = 32
-
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("model.encoding", d, {"periods", "d_v", "d_q"})
-        periods = tuple(float(p) for p in d.get("periods", (24.0,)))
-        if not periods or any(p <= 0 for p in periods):
-            raise ValidationError(
-                f"'model.encoding.periods' must be positive, got {periods}")
-        return cls(periods=periods,
-                   d_v=_typed("model.encoding", "d_v", d.get("d_v", 16), int,
-                              lambda v: v >= 1, "a positive integer"),
-                   d_q=_typed("model.encoding", "d_q", d.get("d_q", 32), int,
-                              lambda v: v >= 1, "a positive integer"))
-
-    def to_dict(self):
-        return {"periods": list(self.periods), "d_v": self.d_v, "d_q": self.d_q}
+    periods: tuple = opt("periods", "numbers", (24.0,), gt=0)
+    d_v: int = opt("d_v", "int", 16, ge=1)
+    d_q: int = opt("d_q", "int", 32, ge=1)
 
 
 @dataclass
 class ModelConfig:
-    variant: str = "spin"
-    n_layers: int = None   # default depends on the variant
-    n_masked: int = 3
-    d_h: int = 32
-    hidden: int = 32
-    hubs: HubConfig = field(default_factory=HubConfig)
-    encoding: EncodingConfig = field(default_factory=EncodingConfig)
+    variant: str = opt("variant", "str", "spin", choices=VARIANTS)
+    n_layers: int = opt("L", "int", None, ge=1)  # None: 4, or 5 for spin-h
+    n_masked: int = opt("eta", "int", 3, ge=1)
+    d_h: int = opt("d_h", "int", 32, ge=1)
+    hidden: int = opt("hidden", "int", 32, ge=1)
+    hubs: HubConfig = opt("hubs", HubConfig)
+    encoding: EncodingConfig = opt("encoding", EncodingConfig)
 
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("model", d, {"variant", "L", "eta", "d_h", "hidden",
-                                   "hubs", "encoding"})
-        variant = d.get("variant", "spin")
-        if variant not in VARIANTS:
-            raise ValidationError(
-                f"'model.variant' must be one of {VARIANTS}, got {variant!r}")
-        n_layers = d.get("L", 5 if variant == "spin-h" else 4)
-        _typed("model", "L", n_layers, int, lambda v: v >= 1,
-               "a positive integer")
-        n_masked = _typed("model", "eta", d.get("eta", 3), int,
-                          lambda v: v >= 0, "a non-negative integer")
-        if n_masked > n_layers:
-            raise ValidationError(
-                f"'model.eta' ({n_masked}) cannot exceed 'model.L' ({n_layers})")
-        return cls(variant=variant, n_layers=n_layers, n_masked=n_masked,
-                   d_h=_typed("model", "d_h", d.get("d_h", 32), int,
-                              lambda v: v >= 1, "a positive integer"),
-                   hidden=_typed("model", "hidden", d.get("hidden", 32), int,
-                                 lambda v: v >= 1, "a positive integer"),
-                   hubs=HubConfig.from_dict(d.get("hubs", {})),
-                   encoding=EncodingConfig.from_dict(d.get("encoding", {})))
-
-    def to_dict(self):
-        return {"variant": self.variant, "L": self.n_layers,
-                "eta": self.n_masked, "d_h": self.d_h, "hidden": self.hidden,
-                "hubs": self.hubs.to_dict(),
-                "encoding": self.encoding.to_dict()}
+    def resolve(self):
+        if self.n_layers is None:
+            self.n_layers = 5 if self.variant == "spin-h" else 4
+        if self.n_masked > self.n_layers:
+            raise ValidationError(f"'model.eta' ({self.n_masked}) cannot exceed "
+                                  f"'model.L' ({self.n_layers})")
 
 
 @dataclass
-class TrainSection:
-    epochs_max: int = 300
-    batches_per_epoch: int = 300
-    batch_size: int = 8
-    patience: int = 40
-    lr: float = 0.0008
-    warmup_steps: int = 12
-    restart_period: int = 100
-    seed: int = 0
-    subsample: dict = None
+class SubsampleConfig:
+    n_seeds: int = opt("n_seeds", "int", ge=1)
+    k_hops: int = opt("k_hops", "int", ge=0)
 
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("train", d, {"epochs_max", "batches_per_epoch",
-                                   "batch_size", "patience", "lr",
-                                   "warmup_steps", "restart_period", "seed",
-                                   "subsample"})
-        out = cls()
-        for key in ("epochs_max", "batches_per_epoch", "batch_size",
-                    "patience", "warmup_steps", "restart_period", "seed"):
-            if key in d:
-                setattr(out, key, _typed("train", key, d[key], int))
-        if "lr" in d:
-            out.lr = _typed("train", "lr", d["lr"], (int, float),
-                            lambda v: v >= 0, ">= 0")
-        if d.get("subsample") is not None:
-            sub = d["subsample"]
-            _require_keys("train.subsample", sub, {"n_seeds", "k_hops"})
-            out.subsample = {"n_seeds": _typed("train.subsample", "n_seeds",
-                                               sub.get("n_seeds"), int),
-                             "k_hops": _typed("train.subsample", "k_hops",
-                                              sub.get("k_hops"), int)}
-        return out
 
-    def to_dict(self):
-        return asdict(self)
+@dataclass
+class TrainConfig:
+    """The trainer's settings: the `train` section plus the data windowing.
+
+    width, stride and split are not keys of `train`; a parsed RunConfig
+    fills them from its `data` section.
+    """
+    epochs_max: int = opt("epochs_max", "int", 300, ge=1)
+    batches_per_epoch: int = opt("batches_per_epoch", "int", 300, ge=1)
+    batch_size: int = opt("batch_size", "int", 8, ge=1)
+    patience: int = opt("patience", "int", 40, ge=1)
+    lr: float = opt("lr", "number", 0.0008, ge=0)
+    warmup_steps: int = opt("warmup_steps", "int", 12, ge=1)
+    restart_period: int = opt("restart_period", "int", 100, ge=1)
+    seed: int = opt("seed", "int", 0, ge=0)
+    subsample: SubsampleConfig = opt("subsample", SubsampleConfig, None)
+    width: int = opt(None, default=24, **WINDOW)
+    stride: int = opt(None, default=24, **WINDOW)
+    split: tuple = opt(None, default=(0.7, 0.1, 0.2), **SPLIT)
+
+    def __post_init__(self):
+        if isinstance(self.subsample, dict):  # as callers in code pass it
+            self.subsample = parse(SubsampleConfig, self.subsample,
+                                   "train.subsample")
+
+    def validate(self):
+        """Re-run the field checks on this (possibly hand-built) config and
+        require patience <= epochs_max, so early stopping can trigger."""
+        check(self, "train")
+        if self.patience > self.epochs_max:
+            raise ValidationError(f"'train.patience' ({self.patience}) exceeds "
+                                  f"'train.epochs_max' ({self.epochs_max})")
+        return self
 
 
 @dataclass
 class InjectConfig:
-    policy: str = "none"
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+    policy: str = opt("policy", "str", "none", choices=POLICIES)
+    params: dict = opt("params", "object", {})
+    seed: int = opt("seed", "int", 0, ge=0)
 
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("inject", d, {"policy", "params", "seed"})
-        policy = d.get("policy", "none")
-        if policy not in POLICIES:
-            raise ValidationError(
-                f"'inject.policy' must be one of {POLICIES}, got {policy!r}")
-        params = dict(d.get("params", {}))
-        known = {"point": {"rate"}, "sweep": {"p"},
-                 "block": {"point_rate", "failure_prob", "len_min", "len_max"},
-                 "none": set()}[policy]
-        _require_keys("inject.params", params, known)
-        return cls(policy=policy, params=params,
-                   seed=_typed("inject", "seed", d.get("seed", 0), int))
-
-    def to_dict(self):
-        return asdict(self)
+    def resolve(self):
+        known = INJECT_PARAMS[self.policy]
+        for key, value in self.params.items():
+            if key not in known:
+                raise ValidationError(
+                    f"'inject.params.{key}' is not a known key for policy "
+                    f"'{self.policy}'; expected one of {list(known)}")
+            if not _is_number(value):
+                raise ValidationError(
+                    f"'inject.params.{key}' must be a number, got {value!r}")
+        if self.policy == "sweep" and "p" not in self.params:
+            raise ValidationError("'inject.params.p' is required with policy 'sweep'")
 
 
 @dataclass
-class SynthSection:
-    n_nodes: int = 20
-    n_steps: int = 2000
-    seed: int = 0
-    periods: tuple = (24.0, 12.0)
-    noise_std: float = 0.05
-    target_neighbors: int = 2
-
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("synth", d, {"n_nodes", "n_steps", "seed", "periods",
-                                   "noise_std", "target_neighbors"})
-        out = cls()
-        for key in ("n_nodes", "n_steps", "seed", "target_neighbors"):
-            if key in d:
-                setattr(out, key, _typed("synth", key, d[key], int))
-        if "periods" in d:
-            out.periods = tuple(float(p) for p in d["periods"])
-        if "noise_std" in d:
-            out.noise_std = _typed("synth", "noise_std", d["noise_std"],
-                                   (int, float), lambda v: v >= 0, ">= 0")
-        return out
-
-    def to_dict(self):
-        d = asdict(self)
-        d["periods"] = list(self.periods)
-        return d
+class OutputConfig:
+    dir: str = opt("dir", "str", "runs/out")
 
 
 @dataclass
-class BenchmarkSection:
-    n_nodes: int = 24
-    seed: int = 0
-    repeats: int = 3
+class SynthConfig:
+    n_nodes: int = opt("n_nodes", "int", 20)
+    n_steps: int = opt("n_steps", "int", 2000)
+    seed: int = opt("seed", "int", 0, ge=0)
+    periods: tuple = opt("periods", "numbers", (24.0, 12.0), gt=0)
+    noise_std: float = opt("noise_std", "number", 0.05, ge=0)
+    target_neighbors: int = opt("target_neighbors", "int", 2, ge=1)
 
-    @classmethod
-    def from_dict(cls, d):
-        _require_keys("benchmark", d, {"n_nodes", "seed", "repeats"})
-        out = cls()
-        for key in ("n_nodes", "seed", "repeats"):
-            if key in d:
-                setattr(out, key, _typed("benchmark", key, d[key], int,
-                                         lambda v: v >= 1 or key == "seed",
-                                         "positive"))
-        return out
 
-    def to_dict(self):
-        return asdict(self)
+@dataclass
+class BenchmarkConfig:
+    n_nodes: int = opt("n_nodes", "int", 24, ge=1)
+    seed: int = opt("seed", "int", 0, ge=0)
+    repeats: int = opt("repeats", "int", 3, ge=1)
 
 
 @dataclass
 class RunConfig:
-    data: DataConfig = None
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainSection = field(default_factory=TrainSection)
-    inject: InjectConfig = field(default_factory=InjectConfig)
-    output_dir: str = "runs/out"
-    synth: SynthSection = field(default_factory=SynthSection)
-    benchmark: BenchmarkSection = field(default_factory=BenchmarkSection)
+    data: DataConfig = opt("data", DataConfig, None)
+    model: ModelConfig = opt("model", ModelConfig)
+    train: TrainConfig = opt("train", TrainConfig)
+    inject: InjectConfig = opt("inject", InjectConfig)
+    output: OutputConfig = opt("output", OutputConfig)
+    synth: SynthConfig = opt("synth", SynthConfig)
+    benchmark: BenchmarkConfig = opt("benchmark", BenchmarkConfig)
 
     @classmethod
     def from_dict(cls, doc):
-        _require_keys("config", doc, {"data", "model", "train", "inject",
-                                      "output", "synth", "benchmark"})
-        out_section = doc.get("output", {})
-        _require_keys("output", out_section, {"dir"})
-        cfg = cls(
-            data=DataConfig.from_dict(doc["data"]) if "data" in doc else None,
-            model=ModelConfig.from_dict(doc.get("model", {})),
-            train=TrainSection.from_dict(doc.get("train", {})),
-            inject=InjectConfig.from_dict(doc.get("inject", {})),
-            output_dir=out_section.get("dir", "runs/out"),
-            synth=SynthSection.from_dict(doc.get("synth", {})),
-            benchmark=BenchmarkSection.from_dict(doc.get("benchmark", {})))
-        width = cfg.data.width if cfg.data is not None else None
-        if (cfg.model.variant == "spin-h" and width is not None
-                and cfg.model.hubs.n_hubs >= width):
-            warnings.warn(
-                f"hub count K={cfg.model.hubs.n_hubs} >= window width "
-                f"W={width}; the hub bottleneck saves nothing at this size",
-                stacklevel=2)
-        return cfg
+        return parse(cls, doc, "")
 
     def to_dict(self):
-        doc = {"model": self.model.to_dict(), "train": self.train.to_dict(),
-               "inject": self.inject.to_dict(),
-               "output": {"dir": self.output_dir},
-               "synth": self.synth.to_dict(),
-               "benchmark": self.benchmark.to_dict()}
-        if self.data is not None:
-            doc["data"] = self.data.to_dict()
+        doc = dump(self)
+        if self.data is None:
+            del doc["data"]
         return doc
+
+    def resolve(self):
+        if self.data is None:
+            return
+        data = self.data
+        self.train.width, self.train.stride = data.width, data.stride
+        self.train.split = data.split
+        if self.model.variant == "spin-h" and self.model.hubs.n_hubs >= data.width:
+            warnings.warn(
+                f"hub count K={self.model.hubs.n_hubs} >= window width "
+                f"W={data.width}; the hub bottleneck saves nothing at this size",
+                stacklevel=2)
 
 
 def load_run_config(path) -> RunConfig:
+    """Read and resolve a config file; every error message starts with `path`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
+        return RunConfig.from_dict(doc)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config root must be a JSON object: {path}")
-    return RunConfig.from_dict(doc)
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def build_params(model: ModelConfig, n_nodes: int, seed: int):
@@ -370,19 +364,3 @@ def build_params(model: ModelConfig, n_nodes: int, seed: int):
         return SpinParameters(**common)
     return SpinHParameters(d_z=model.hubs.d_z, n_hubs=model.hubs.n_hubs,
                            per_node_hubs=model.hubs.per_node_hubs, **common)
-
-
-def train_config_from(cfg: RunConfig):
-    """Flatten the train + data sections into the trainer's config object."""
-    from .train import TrainConfig
-
-    if cfg.data is None:
-        raise ValidationError("'data' section is required for training")
-    t = cfg.train
-    return TrainConfig(epochs_max=t.epochs_max,
-                       batches_per_epoch=t.batches_per_epoch,
-                       batch_size=t.batch_size, patience=t.patience, lr=t.lr,
-                       warmup_steps=t.warmup_steps,
-                       restart_period=t.restart_period, seed=t.seed,
-                       width=cfg.data.width, stride=cfg.data.stride,
-                       split=cfg.data.split, subsample=t.subsample)

@@ -13,11 +13,13 @@ conservation: new_mask AND new_eval = 0 and new_mask OR moved = old_mask.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import MetricError, ShapeError, ValidationError
+
+BLANK_CELLS = ("", "nan", "NaN")  # a values.csv cell that means "missing"
 
 
 def _as_binary(arr, name):
@@ -87,11 +89,7 @@ class Dataset:
         return self.values.shape[1]
 
     def replace(self, **kw):
-        base = dict(values=self.values, mask=self.mask, eval_mask=self.eval_mask,
-                    timestamps=self.timestamps, stats=self.stats,
-                    columns=self.columns)
-        base.update(kw)
-        return Dataset(**base)
+        return replace(self, **kw)
 
     def rows(self, sl):
         """The steps in slice `sl`, with the same stats and columns."""
@@ -142,8 +140,12 @@ def load_dataset(values_csv, mask_csv=None) -> Dataset:
             if len(row) != n:
                 raise ShapeError(
                     f"{values_csv}: row {lineno} has {len(row)} cells, expected {n}")
-            rows.append([float(c) if c.strip() not in ("", "nan", "NaN") else np.nan
-                         for c in row])
+            try:
+                rows.append([float(c) if c.strip() not in BLANK_CELLS else np.nan
+                             for c in row])
+            except ValueError:
+                raise cell_error(values_csv, lineno, row, lambda cell, _: (
+                    cell.strip() in BLANK_CELLS or float(cell))) from None
     if not rows:
         raise ValidationError(f"{values_csv} has a header but no data rows")
     values = np.asarray(rows, dtype=np.float64)
@@ -151,7 +153,10 @@ def load_dataset(values_csv, mask_csv=None) -> Dataset:
     if mask_csv is None:
         mask = observed
     else:
-        mask = _load_grid_csv(mask_csv, expect_shape=values.shape, name="mask")
+        mask = load_grid_csv(mask_csv)
+        if mask.shape != values.shape:
+            raise ValidationError(f"mask file {mask_csv} has shape {mask.shape}, "
+                                  f"expected {values.shape}")
         mask = _as_binary(mask, f"mask file {mask_csv}")
         if np.any(mask & ~observed):
             t, j = np.argwhere(mask & ~observed)[0]
@@ -161,21 +166,45 @@ def load_dataset(values_csv, mask_csv=None) -> Dataset:
     return Dataset(values=values, mask=mask, columns=[h.strip() for h in header])
 
 
-def _load_grid_csv(path, expect_shape=None, name="grid"):
-    """Read a headerless numeric grid; used for masks and eval masks."""
+def load_grid_csv(path) -> np.ndarray:
+    """Read a headerless numeric grid (a mask or a distance matrix).
+
+    A ragged row or a cell that is not a number is a ValidationError
+    naming the file, the row and the column.
+    """
     rows = []
     with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
+        reader = csv.reader(f)
+        for row in reader:
             if not row:
                 continue
-            rows.append([float(c) for c in row])
+            if rows and len(row) != len(rows[0]):
+                raise ValidationError(
+                    f"{path}: row {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(rows[0])}")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise cell_error(path, reader.line_num, row,
+                                 lambda cell, _: float(cell)) from None
     if not rows:
-        raise ValidationError(f"{name} file {path} is empty")
-    arr = np.asarray(rows)
-    if expect_shape is not None and arr.shape != expect_shape:
-        raise ShapeError(
-            f"{name} file {path} has shape {arr.shape}, expected {expect_shape}")
-    return arr
+        raise ValidationError(f"{path} is empty")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def cell_error(path, line, row, parse) -> ValidationError:
+    """The error naming the first cell of `row` that `parse` rejects.
+
+    `row` is line `line` of CSV `path`; parse(cell, column) raises
+    ValueError on a bad cell, columns counting from 1. Readers call this
+    only after their own parse of the row failed, so reading a good file
+    checks no cell twice.
+    """
+    for col, cell in enumerate(row, start=1):
+        try:
+            parse(cell, col)
+        except ValueError as exc:
+            return ValidationError(f"{path}: row {line}, column {col}: {exc}")
 
 
 def save_grid_csv(path, arr, header=None, fmt="%.17g"):

@@ -18,6 +18,8 @@ from collections import deque
 
 import numpy as np
 
+from .data import cell_error
+from .data import load_grid_csv as load_distances_csv  # the N×N distance reader
 from .errors import ShapeError, ValidationError
 
 
@@ -135,21 +137,6 @@ def khop_subgraph(graph: SensorGraph, seeds, k: int):
     return sub, node_map, seed_mask
 
 
-def load_distances_csv(path) -> np.ndarray:
-    """Read a headerless square matrix of comma-separated numbers."""
-    rows = []
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if row:
-                rows.append([float(x) for x in row])
-    if not rows:
-        raise ValidationError(f"distance file {path} is empty")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValidationError(f"distance file {path} has ragged rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def load_edges_csv(path, n_nodes: int) -> SensorGraph:
     """Read an edge list with header src,dst,weight (0-based node ids)."""
     edges = []
@@ -164,5 +151,9 @@ def load_edges_csv(path, n_nodes: int) -> SensorGraph:
                 continue
             if len(row) != 3:
                 raise ValidationError(f"edge file {path}: malformed row {row}")
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
+            try:
+                edges.append((int(row[0]), int(row[1]), float(row[2])))
+            except ValueError:
+                raise cell_error(path, reader.line_num, row, lambda cell, col: (
+                    int(cell) if col < 3 else float(cell))) from None
     return SensorGraph(n_nodes, edges)

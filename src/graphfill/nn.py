@@ -32,13 +32,6 @@ class Mlp:
                                         requires_grad=True))
             self.biases.append(T.Value(np.zeros(b), requires_grad=True))
 
-    def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
     def named_parameters(self, prefix: str):
         out = []
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -46,10 +39,7 @@ class Mlp:
             out.append((f"{prefix}.layer{k}.bias", b))
         return out
 
-    def __call__(self, *inputs):
-        """Apply to inputs concatenated along the last (feature) axis."""
-        x = inputs[0] if len(inputs) == 1 else T.concat([T.as_value(v) for v in inputs],
-                                                        axis=-1)
+    def __call__(self, x):
         x = T.as_value(x)
         if x.data.shape[-1] != self.widths[0]:
             raise ShapeError(

@@ -266,18 +266,6 @@ def init_states(params, window, values, input_mask):
                          T.scatter_rows(h_targ, targ_pos, w * n))
 
 
-def _resolve_depth(params, n_layers, n_masked):
-    n_layers = params.n_layers if n_layers is None else n_layers
-    n_masked = params.n_masked if n_masked is None else n_masked
-    if not (1 <= n_masked <= n_layers):
-        raise ValidationError(
-            f"masked-layer count {n_masked} out of range [1, {n_layers}]")
-    if n_layers > len(params.layers):
-        raise ValidationError(
-            f"requested {n_layers} layers but parameters hold {len(params.layers)}")
-    return n_layers, n_masked
-
-
 def _check_window(window, input_mask, graph):
     values = np.asarray(window.values, dtype=np.float64)
     w, n = values.shape
@@ -293,14 +281,13 @@ def _check_window(window, input_mask, graph):
 
 
 def spin_forward(window, graph: SensorGraph, params: SpinParameters,
-                 n_layers=None, n_masked=None, input_mask=None,
-                 collect_alphas=False) -> ImputationOutput:
+                 input_mask=None, collect_alphas=False) -> ImputationOutput:
     """Run the full stack on one window.
 
     input_mask defaults to the window's mask; training passes a whitened
-    mask instead. n_layers/n_masked default to the parameter settings.
+    mask instead.
     """
-    n_layers, n_masked = _resolve_depth(params, n_layers, n_masked)
+    n_layers, n_masked = params.n_layers, params.n_masked
     values, input_mask = _check_window(window, input_mask, graph)
     w, n = values.shape
     phases = [build_attention_plan(input_mask, graph, masked=True)]

@@ -33,8 +33,8 @@ from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_PERIODS
 from .errors import ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
-from .spin import (ImputationOutput, _check_window, _Parameters, _resolve_depth,
-                   attend, init_states, message_sets, node_steps, step_sets)
+from .spin import (ImputationOutput, _check_window, _Parameters, attend,
+                   init_states, message_sets, node_steps, step_sets)
 
 N_LAYERS_H = 5
 N_MASKED_LAYERS_H = 3
@@ -131,10 +131,9 @@ class SpinHParameters(_Parameters):
 
 
 def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
-                  n_layers=None, n_masked=None, input_mask=None,
-                  collect_alphas=False) -> ImputationOutput:
+                  input_mask=None, collect_alphas=False) -> ImputationOutput:
     """Run the hierarchical stack on one window."""
-    n_layers, n_masked = _resolve_depth(params, n_layers, n_masked)
+    n_layers, n_masked = params.n_layers, params.n_masked
     values, input_mask = _check_window(window, input_mask, graph)
     w, n = values.shape
 

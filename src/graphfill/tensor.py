@@ -6,11 +6,12 @@ to input gradients; backward() replays the records in reverse order. With
 no active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: elementwise arithmetic, matmul against a
-2-D weight, concat/reshape/row slices, relu/abs/clamp, axis sums, row
-gather and scatter, and one fused op for a whole attention branch (pair
-messages, per-set softmax and weighted sum). That is enough for MLPs,
-softmax attention over variable-size message sets, and training.
+The op set is deliberately small: elementwise arithmetic (add, sub, mul,
+div, neg), matmul against a 2-D weight, concat/reshape/row slices,
+relu/abs, axis sums and means, row gather and scatter, and one fused op
+for a whole attention branch (pair messages, per-set softmax and
+weighted sum). That is enough for MLPs, softmax attention over
+variable-size message sets, and training.
 
 Every operation result must be finite; NaN or Inf raises immediately
 rather than propagating. Leaves are exempt so that deliberately poisoned
@@ -112,9 +113,6 @@ class Value:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Value(self.data.copy())
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -246,12 +244,6 @@ def relu(a):
     a = as_value(a)
     return _make_output(np.maximum(a.data, 0.0), (a,),
                         lambda g: (g * (a.data > 0.0),))
-
-
-def clamp(a, lo, hi):
-    a = as_value(a)
-    inside = (a.data >= lo) & (a.data <= hi)
-    return _make_output(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
 
 
 def matmul(a, b):

@@ -15,11 +15,10 @@ data units before reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
+from .config import TrainConfig
 from .data import (Dataset, SpatioTemporalWindow, make_windows, split_slices,
                    training_whiten)
 from .errors import (DivergenceError, EmptySetError, MetricError,
@@ -30,44 +29,6 @@ from .spin import SpinParameters, spin_forward
 from .spin_h import SpinHParameters, spinh_forward
 
 GRAD_CLIP_NORM = 5.0
-
-
-@dataclass
-class TrainConfig:
-    epochs_max: int = 300
-    batches_per_epoch: int = 300
-    batch_size: int = 8
-    patience: int = 40
-    lr: float = 0.0008
-    warmup_steps: int = 12
-    restart_period: int = 100
-    seed: int = 0
-    width: int = 24
-    stride: int = 24
-    split: tuple = (0.7, 0.1, 0.2)
-    subsample: dict = None  # optional {"n_seeds": ..., "k_hops": ...}
-
-    def validate(self):
-        counts = {"epochs_max": self.epochs_max,
-                  "batches_per_epoch": self.batches_per_epoch,
-                  "batch_size": self.batch_size, "patience": self.patience,
-                  "warmup_steps": self.warmup_steps,
-                  "restart_period": self.restart_period, "width": self.width,
-                  "stride": self.stride}
-        for name, v in counts.items():
-            if v < 1:
-                raise ValidationError(f"{name} must be positive, got {v}")
-        if self.patience > self.epochs_max:
-            raise ValidationError(
-                f"patience {self.patience} exceeds epochs_max {self.epochs_max}")
-        if self.lr < 0:
-            raise ValidationError(f"learning rate must be >= 0, got {self.lr}")
-        if self.subsample is not None:
-            if self.subsample.get("n_seeds", 0) < 1:
-                raise ValidationError("subsample.n_seeds must be positive")
-            if self.subsample.get("k_hops", -1) < 0:
-                raise ValidationError("subsample.k_hops must be >= 0")
-        return self
 
 
 def forward_fn(params):
@@ -165,10 +126,10 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
             batch_graph, node_map, seed_mask = graph, None, None
             if config.subsample is not None:
                 seeds = rng.choice(graph.n_nodes,
-                                   size=min(config.subsample["n_seeds"],
+                                   size=min(config.subsample.n_seeds,
                                             graph.n_nodes), replace=False)
                 batch_graph, node_map, seed_mask = khop_subgraph(
-                    graph, seeds, config.subsample["k_hops"])
+                    graph, seeds, config.subsample.k_hops)
                 cols = np.array(sorted(node_map), dtype=np.intp)
                 windows = [_column_subset_window(win, cols) for win in windows]
 
@@ -271,9 +232,8 @@ def fit_node_means(dataset: Dataset, train_slice=None):
     return node_means, global_mean
 
 
-def baseline_mean(window: SpatioTemporalWindow, node_means, global_mean=None):
-    """Fill each missing entry with its node's training mean."""
-    del global_mean  # node_means already carries the fallback
+def baseline_mean(window: SpatioTemporalWindow, node_means):
+    """Fill each missing entry with its node's training mean (or fallback)."""
     filled = np.where(window.mask == 1, window.values,
                       np.asarray(node_means)[None, :])
     return filled
@@ -355,10 +315,10 @@ def evaluate_baseline(kind, dataset: Dataset, graph: SensorGraph, width, stride,
                       split=(0.7, 0.1, 0.2)):
     """MAE of a reference baseline ("mean" or "knn") on the same protocol."""
     train_sl, _, _ = split_slices(dataset.n_steps, split)
-    node_means, global_mean = fit_node_means(dataset, train_sl)
+    node_means, _ = fit_node_means(dataset, train_sl)
     windows = _test_windows(dataset, width, stride, split)
     if kind == "mean":
-        predict = lambda win: baseline_mean(win, node_means, global_mean)
+        predict = lambda win: baseline_mean(win, node_means)
     elif kind == "knn":
         predict = lambda win: baseline_knn(win, graph, node_means)
     else:

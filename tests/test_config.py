@@ -1,0 +1,164 @@
+"""The config schema: round trips, and bad configs and CSVs through the CLI."""
+
+import json
+
+import numpy as np
+import pytest
+
+from graphfill.cli import main
+from graphfill.config import RunConfig
+
+N_STEPS, N_NODES = 60, 3
+
+
+def every_key(graph_source):
+    """A config that sets every key of every section to a non-default value."""
+    data = {"values_csv": "v.csv", "mask_csv": "m.csv", "gamma": 0.5,
+            "delta": 1.5, "W": 12, "stride": 6, "split": [0.6, 0.2, 0.2]}
+    data[graph_source] = "graph.csv"
+    return {
+        "data": data,
+        "model": {"variant": "spin-h", "L": 3, "eta": 2, "d_h": 16,
+                  "hidden": 24,
+                  "hubs": {"K": 3, "d_z": 64, "per_node_hubs": True},
+                  "encoding": {"periods": [12.0, 6.0], "d_v": 8, "d_q": 20}},
+        "train": {"epochs_max": 7, "batches_per_epoch": 9, "batch_size": 3,
+                  "patience": 5, "lr": 0.01, "warmup_steps": 2,
+                  "restart_period": 50, "seed": 4,
+                  "subsample": {"n_seeds": 3, "k_hops": 2}},
+        "inject": {"policy": "block",
+                   "params": {"point_rate": 0.1, "failure_prob": 0.01,
+                              "len_min": 3, "len_max": 9},
+                   "seed": 5},
+        "output": {"dir": "elsewhere"},
+        "synth": {"n_nodes": 9, "n_steps": 300, "seed": 6, "periods": [10.0],
+                  "noise_std": 0.2, "target_neighbors": 3},
+        "benchmark": {"n_nodes": 10, "seed": 2, "repeats": 5},
+    }
+
+
+def leaves(doc, prefix=""):
+    """{dotted key: value} of every non-object value in a JSON object."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict) and key != "params":
+            out.update(leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+@pytest.mark.parametrize("graph_source", ["distances_csv", "edges_csv"])
+def test_every_key_round_trips(graph_source):
+    doc = every_key(graph_source)
+    resolved = RunConfig.from_dict(doc).to_dict()
+    defaults = leaves(RunConfig.from_dict(
+        {"data": {"values_csv": "", "edges_csv": ""}}).to_dict())
+    other = "edges_csv" if graph_source == "distances_csv" else "distances_csv"
+    given = leaves(doc)
+    assert set(leaves(resolved)) == set(given) | {f"data.{other}"}
+    for key, value in given.items():  # train.subsample defaults to null
+        assert value != defaults.get(key), key
+    assert resolved == json.loads(json.dumps(doc | {
+        "data": doc["data"] | {other: None}}))
+    again = RunConfig.from_dict(json.loads(json.dumps(resolved)))
+    assert again.to_dict() == resolved
+    # the trainer's config takes its windowing from the data section
+    assert (again.train.width, again.train.stride, again.train.split) == (
+        12, 6, (0.6, 0.2, 0.2))
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A valid values/mask/distances triple and a config that reads it."""
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(N_STEPS, N_NODES))
+    paths = {name: tmp_path / f"{name}.csv"
+             for name in ("values", "mask", "distances", "edges")}
+    paths["values"].write_text(
+        "s0,s1,s2\n" + "".join(",".join(f"{v:.6f}" for v in row) + "\n"
+                               for row in values))
+    paths["mask"].write_text("1,1,1\n" * N_STEPS)
+    paths["distances"].write_text("0,1,2\n1,0,1\n2,1,0\n")
+    paths["edges"].write_text("src,dst,weight\n0,1,1.0\n1,2,0.5\n")
+    doc = {"data": {"values_csv": str(paths["values"]),
+                    "mask_csv": str(paths["mask"]),
+                    "distances_csv": str(paths["distances"]),
+                    "gamma": 1.0, "delta": 1.5, "W": 4, "stride": 4},
+           "model": {"L": 1, "eta": 1, "d_h": 4, "hidden": 4,
+                     "encoding": {"d_v": 2, "d_q": 2}},
+           "train": {"epochs_max": 1, "batches_per_epoch": 1, "batch_size": 1,
+                     "patience": 1},
+           "output": {"dir": str(tmp_path / "out")}}
+    return tmp_path, paths, doc
+
+
+def break_config(section, key, value):
+    def apply(paths, doc):
+        target = doc.setdefault(section, {})
+        if key is None:
+            doc[section] = value
+        else:
+            for part in key.split(".")[:-1]:
+                target = target.setdefault(part, {})
+            target[key.split(".")[-1]] = value
+    return apply
+
+
+def break_line(name, line, text):
+    def apply(paths, doc):
+        rows = paths[name].read_text().splitlines()
+        rows[line - 1] = text
+        paths[name].write_text("\n".join(rows) + "\n")
+        if name == "edges":  # read the graph from the edge list instead
+            doc["data"].pop("distances_csv")
+            doc["data"]["edges_csv"] = str(paths[name])
+    return apply
+
+
+BAD_INPUTS = {
+    # name: (how to break the valid inputs, file named, what stderr names)
+    "list field given a string": (
+        break_config("synth", "periods", "ab"), "config", "'synth.periods'"),
+    "split given a number": (
+        break_config("data", "split", 5), "config", "'data.split'"),
+    "section given a non-object": (
+        break_config("model", None, 3), "config", "'model'"),
+    "inject params given a non-object": (
+        break_config("inject", "params", 3), "config", "'inject.params'"),
+    "eta zero": (break_config("model", "eta", 0), "config", "'model.eta'"),
+    "batch size zero": (
+        break_config("train", "batch_size", 0), "config", "'train.batch_size'"),
+    "unknown nested key": (
+        break_config("model", "hubs.KK", 3), "config", "'model.hubs.KK'"),
+    "ragged mask": (break_line("mask", 3, "1,1"), "mask", "row 3"),
+    "non-numeric distance cell": (
+        break_line("distances", 2, "1,zero,1"), "distances", "row 2, column 2"),
+    "non-numeric value cell": (
+        break_line("values", 5, "0.1,x,0.2"), "values", "row 5, column 2"),
+    "non-integer edge id": (
+        break_line("edges", 3, "1.5,2,0.5"), "edges", "row 3, column 1"),
+    "distance matrix not N x N": (
+        lambda paths, doc: paths["distances"].write_text("0,1\n1,0\n2,1\n"),
+        "distances", "3x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_naming_file_and_field(case, files, capsys):
+    tmp_path, paths, doc = files
+    apply, culprit, named = BAD_INPUTS[case]
+    apply(paths, doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    path = config if culprit == "config" else paths[culprit]
+    assert str(path) in err and named in err, err
+
+
+def test_valid_inputs_train(files):
+    tmp_path, _, doc = files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 0

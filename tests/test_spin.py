@@ -121,16 +121,14 @@ def test_single_node_single_layer_matches_dense_oracle():
                                     hidden=8, d_v=4, d_q=6,
                                     rng=np.random.default_rng(1000 + seed))
             with T.no_grad():
-                out = spin_forward(window, graph, params, n_layers=1,
-                                   n_masked=1,
+                out = spin_forward(window, graph, params,
                                    input_mask=np.ones_like(window.mask))
             want = brute_force(window.values,
                                np.ones_like(window.mask), window.step_offsets,
                                graph, params, 1, 1)
         else:
             with T.no_grad():
-                out = spin_forward(window, graph, params, n_layers=1,
-                                   n_masked=1)
+                out = spin_forward(window, graph, params)
             want = brute_force(window.values, window.mask,
                                window.step_offsets, graph, params, 1, 1)
         err = np.max(np.abs(out.predictions - want[-1]))
@@ -294,12 +292,9 @@ def test_gradients_reach_every_parameter():
 
 
 def test_depth_validation():
-    window, graph, params = random_case(10, n_nodes=3, width=4, n_layers=2,
-                                        n_masked=1)
     with pytest.raises(ValidationError):
-        spin_forward(window, graph, params, n_layers=3)  # only 2 layers exist
-    with pytest.raises(ValidationError):
-        spin_forward(window, graph, params, n_layers=2, n_masked=0)
+        SpinParameters(n_nodes=2, n_layers=2, n_masked=0,
+                       rng=np.random.default_rng(0))
     with pytest.raises(ValidationError):
         SpinParameters(n_nodes=2, n_layers=2, n_masked=3,
                        rng=np.random.default_rng(0))

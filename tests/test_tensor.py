@@ -62,7 +62,7 @@ def test_unary_op_grads():
 
     def fv(a):
         return T.vsum(T.add(T.vabs(a), T.add(T.relu(a),
-                                             U.vexp(T.clamp(a, -1.0, 1.0)))))
+                                             U.vexp(U.clamp(a, -1.0, 1.0)))))
 
     def ff(a):
         cl = np.clip(a, -1.0, 1.0)

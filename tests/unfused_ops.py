@@ -142,6 +142,12 @@ def vexp(a):
     return T._make_output(data, (a,), lambda g: (g * data,))
 
 
+def clamp(a, lo, hi):
+    a = T.as_value(a)
+    inside = (a.data >= lo) & (a.data <= hi)
+    return T._make_output(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+
+
 def segment_softmax(logits, starts):
     """Softmax within each contiguous segment of a (P, 1) logit column.
 
@@ -154,7 +160,7 @@ def segment_softmax(logits, starts):
     counts = _segment_starts_to_counts(starts, total)
     m = segment_max_raw(logits.data, starts)
     shifted = T.sub(logits, np.repeat(m, counts, axis=0))
-    e = vexp(T.clamp(shifted, -T.LOGIT_SPAN, T.LOGIT_SPAN))
+    e = vexp(clamp(shifted, -T.LOGIT_SPAN, T.LOGIT_SPAN))
     denom = segment_sum(e, starts)
     return T.div(e, repeat_rows(denom, counts))
 
