@@ -326,6 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    T._keep_large_allocations_on_heap()
     args = make_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)

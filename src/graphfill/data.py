@@ -138,7 +138,7 @@ def load_dataset(values_csv, mask_csv=None) -> Dataset:
             if not row:
                 continue
             if len(row) != n:
-                raise ShapeError(
+                raise ValidationError(
                     f"{values_csv}: row {lineno} has {len(row)} cells, expected {n}")
             try:
                 rows.append([float(c) if c.strip() not in BLANK_CELLS else np.nan
@@ -219,11 +219,15 @@ def save_grid_csv(path, arr, header=None, fmt="%.17g"):
 
 
 def split_slices(n_steps, fracs=(0.7, 0.1, 0.2)):
-    """Sequential train/val/test slices by step index."""
+    """Sequential train/val/test slices by step index.
+
+    Cumulative boundaries are rounded to 9 decimals before flooring, so a
+    float sum such as (0.7 + 0.1) * 40 = 31.999999999999996 gives 32.
+    """
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ValidationError(f"split fractions must sum to 1, got {fracs}")
-    a = int(np.floor(fracs[0] * n_steps))
-    b = int(np.floor((fracs[0] + fracs[1]) * n_steps))
+    a = int(np.floor(round(fracs[0] * n_steps, 9)))
+    b = int(np.floor(round((fracs[0] + fracs[1]) * n_steps, 9)))
     return slice(0, a), slice(a, b), slice(b, n_steps)
 
 

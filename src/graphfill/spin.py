@@ -34,7 +34,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,12 @@ def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
             message_sets(*keys, *step_sets(graph.src, graph.dst, w, n), w * n))
 
 
+def score_vector(d, rng) -> T.Value:
+    """A trainable (d, 1) attention scorer drawn with standard deviation 1/√d."""
+    return T.Value(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, 1)),
+                   requires_grad=True)
+
+
 class _Parameters:
     """The encoding and init MLPs that both variants start from."""
 
@@ -146,6 +152,20 @@ class _Parameters:
                 + self.init_target.named_parameters("init.target")
                 + self.init_observed.named_parameters("init.observed"))
 
+    def named_parameters(self):
+        """(name, Value) pairs in checkpoint, Adam and clipping order: init,
+        each layer's entries as `self_msg` -> `layers.l.self.message`, readout.
+        """
+        out = self._init_parameters()
+        for l, blk in enumerate(self.layers):
+            for key, part in blk.items():
+                name = f"layers.{l}." + key.replace("_msg", "_message").replace("_", ".")
+                if isinstance(part, Mlp):
+                    out += part.named_parameters(name)
+                else:
+                    out.append((name, part))
+        return out + self.readout.named_parameters("readout")
+
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
@@ -159,30 +179,14 @@ class SpinParameters(_Parameters):
         rng = np.random.default_rng(rng)
         super().__init__(n_nodes, d_h, n_layers, n_masked, hidden, periods,
                          d_v, d_q, rng)
-        score_scale = 1.0 / np.sqrt(d_h)
-        self.layers = []
-        for _ in range(n_layers):
-            self.layers.append({
-                "cross_msg": Mlp([2 * d_h, hidden, d_h], rng),
-                "cross_score": T.Value(rng.normal(0.0, score_scale, size=(d_h, 1)),
-                                       requires_grad=True),
-                "self_msg": Mlp([2 * d_h, hidden, d_h], rng),
-                "self_score": T.Value(rng.normal(0.0, score_scale, size=(d_h, 1)),
-                                      requires_grad=True),
-                "update": Mlp([3 * d_h, hidden, d_h], rng),
-            })
+        self.layers = [{
+            "cross_msg": Mlp([2 * d_h, hidden, d_h], rng),
+            "cross_score": score_vector(d_h, rng),
+            "self_msg": Mlp([2 * d_h, hidden, d_h], rng),
+            "self_score": score_vector(d_h, rng),
+            "update": Mlp([3 * d_h, hidden, d_h], rng),
+        } for _ in range(n_layers)]
         self.readout = Mlp([d_h, hidden, 1], rng)
-
-    def named_parameters(self):
-        out = self._init_parameters()
-        for l, blk in enumerate(self.layers):
-            out += blk["cross_msg"].named_parameters(f"layers.{l}.cross.message")
-            out.append((f"layers.{l}.cross.score", blk["cross_score"]))
-            out += blk["self_msg"].named_parameters(f"layers.{l}.self.message")
-            out.append((f"layers.{l}.self.score", blk["self_score"]))
-            out += blk["update"].named_parameters(f"layers.{l}.update")
-        out += self.readout.named_parameters("readout")
-        return out
 
 
 @dataclass
@@ -192,22 +196,17 @@ class ImputationOutput:
     readouts[l] is the (W, N) prediction from layer l+1's states; the
     last one is the imputation. x_leaf is the value array the pass read
     from, kept so callers can inspect input gradients. pairs_per_layer
-    records how many (key, query) pairs each branch materialized.
+    records how many (key, query) pairs each branch materialized, and
+    alphas each branch's (alpha, starts) audit when collected.
     """
     readouts: list
     x_leaf: T.Value
-    values: np.ndarray
-    input_mask: np.ndarray
     pairs_per_layer: list
-    alphas: list = field(default=None)
+    alphas: list = None
 
     @property
     def predictions(self) -> np.ndarray:
         return self.readouts[-1].data
-
-    def filled(self) -> np.ndarray:
-        """Observed entries kept as-is, everything else imputed."""
-        return np.where(self.input_mask == 1, self.values, self.predictions)
 
 
 def attend(key_src, query_src, key_idx, query_idx, starts, out_pos, n_out,
@@ -246,27 +245,11 @@ def attend(key_src, query_src, key_idx, query_idx, starts, out_pos, n_out,
     return out, audit
 
 
-def init_states(params, window, values, input_mask):
-    """(x_leaf, h): the value leaf and the layer-0 states of every position.
-
-    Row p = τ·N + i of h is init_observed([x, q]) where the input mask is
-    1 and init_target(q) elsewhere; x_leaf is the value array the pass
-    reads from, kept so callers can inspect input gradients.
+def init_states(params, window, graph, input_mask=None):
+    """(input_mask, x_leaf, h): the checked input mask (default: the
+    window's), the value leaf and the layer-0 states. Row p = τ·N + i of h
+    is init_observed([x, q]) where the mask is 1, else init_target(q).
     """
-    w, n = values.shape
-    x_leaf = T.Value(values.reshape(w * n, 1), requires_grad=True)
-    q_flat = params.encoding.codes_flat(window.step_offsets, n)
-    obs_pos = np.flatnonzero(input_mask.ravel() == 1)
-    targ_pos = np.flatnonzero(input_mask.ravel() == 0)
-    h_obs = params.init_observed(T.concat(
-        [T.gather_rows(x_leaf, obs_pos, unique=True),
-         T.gather_rows(q_flat, obs_pos, unique=True)], axis=-1))
-    h_targ = params.init_target(T.gather_rows(q_flat, targ_pos, unique=True))
-    return x_leaf, T.add(T.scatter_rows(h_obs, obs_pos, w * n),
-                         T.scatter_rows(h_targ, targ_pos, w * n))
-
-
-def _check_window(window, input_mask, graph):
     values = np.asarray(window.values, dtype=np.float64)
     w, n = values.shape
     if input_mask is None:
@@ -277,7 +260,51 @@ def _check_window(window, input_mask, graph):
             f"input mask shape {input_mask.shape} != window shape {(w, n)}")
     if graph.n_nodes != n:
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
-    return values, input_mask
+    x_leaf = T.Value(values.reshape(w * n, 1), requires_grad=True)
+    q_flat = params.encoding.codes_flat(window.step_offsets, n)
+    obs_pos = np.flatnonzero(input_mask.ravel() == 1)
+    targ_pos = np.flatnonzero(input_mask.ravel() == 0)
+    h_obs = params.init_observed(T.concat(
+        [T.gather_rows(x_leaf, obs_pos, unique=True),
+         T.gather_rows(q_flat, obs_pos, unique=True)], axis=-1))
+    h_targ = params.init_target(T.gather_rows(q_flat, targ_pos, unique=True))
+    return input_mask, x_leaf, T.add(T.scatter_rows(h_obs, obs_pos, w * n),
+                                     T.scatter_rows(h_targ, targ_pos, w * n))
+
+
+def position_update(blk, key_src, h, self_sets, cross_sets, collect=False):
+    """One block's position update: (new h, pair counts, alpha audits).
+
+    Every position attends over its self and cross sets with keys from
+    key_src (spin: the states h; spin-h: the hubs), then is updated from
+    [h, self context, neighbor sum].
+    """
+    parts, pairs, audits = [h], {}, {}
+    for branch, sets in (("self", self_sets), ("cross", cross_sets)):
+        ctx, audits[branch] = attend(key_src, h, sets.key, sets.query,
+                                     sets.starts, sets.out, sets.n_out,
+                                     blk[f"{branch}_msg"], blk[f"{branch}_score"],
+                                     collect)
+        parts.append(ctx)
+        pairs[branch] = sets.n_pairs
+    return blk["update"](T.concat(parts, axis=-1)), pairs, audits
+
+
+def run_layers(params, x_leaf, h, shape, layer, collect) -> ImputationOutput:
+    """Run every block from the layer-0 states h; layer(blk, h, masked)
+    returns one block's (h, pair counts, audits), and each block's states
+    go through the shared readout, reshaped to the (W, N) `shape`.
+    """
+    readouts, pairs, alphas = [], [], []
+    for l, blk in enumerate(params.layers):
+        masked = l < params.n_masked
+        h, n_pairs, audits = layer(blk, h, masked)
+        readouts.append(T.reshape(params.readout(h), shape))
+        pairs.append({**n_pairs, "masked": masked})
+        alphas.append(audits)
+    return ImputationOutput(readouts=readouts, x_leaf=x_leaf,
+                            pairs_per_layer=pairs,
+                            alphas=alphas if collect else None)
 
 
 def spin_forward(window, graph: SensorGraph, params: SpinParameters,
@@ -287,31 +314,13 @@ def spin_forward(window, graph: SensorGraph, params: SpinParameters,
     input_mask defaults to the window's mask; training passes a whitened
     mask instead.
     """
-    n_layers, n_masked = params.n_layers, params.n_masked
-    values, input_mask = _check_window(window, input_mask, graph)
-    w, n = values.shape
+    input_mask, x_leaf, h = init_states(params, window, graph, input_mask)
     phases = [build_attention_plan(input_mask, graph, masked=True)]
-    if n_masked < n_layers:
+    if params.n_masked < params.n_layers:
         phases.append(build_attention_plan(input_mask, graph, masked=False))
-    x_leaf, h = init_states(params, window, values, input_mask)
 
-    readouts, pairs, alphas = [], [], []
-    for l in range(n_layers):
-        self_sets, cross_sets = phases[0 if l < n_masked else 1]
-        blk = params.layers[l]
-        c, a_self = attend(h, h, self_sets.key, self_sets.query, self_sets.starts,
-                           self_sets.out, self_sets.n_out,
-                           blk["self_msg"], blk["self_score"], collect_alphas)
-        e, a_cross = attend(h, h, cross_sets.key, cross_sets.query,
-                            cross_sets.starts, cross_sets.out, cross_sets.n_out,
-                            blk["cross_msg"], blk["cross_score"], collect_alphas)
-        h = blk["update"](T.concat([h, c, e], axis=-1))
-        readouts.append(params.readout(h))
-        pairs.append({"self": self_sets.n_pairs, "cross": cross_sets.n_pairs,
-                      "masked": l < n_masked})
-        if collect_alphas:
-            alphas.append({"self": a_self, "cross": a_cross})
-    return ImputationOutput(
-        readouts=[T.reshape(r, (w, n)) for r in readouts],
-        x_leaf=x_leaf, values=values, input_mask=input_mask.copy(),
-        pairs_per_layer=pairs, alphas=alphas if collect_alphas else None)
+    def layer(blk, h, masked):
+        return position_update(blk, h, h, *phases[0 if masked else 1],
+                               collect_alphas)
+
+    return run_layers(params, x_leaf, h, input_mask.shape, layer, collect_alphas)

@@ -7,10 +7,10 @@ summary of its sequence. Every layer runs two phases:
   1. hub update — each hub of node i attends over node i's steps
      (observed steps only in the first `n_masked` layers) and is updated
      from [hub, context];
-  2. position update — each position (i, τ) attends over the K updated
-     hubs of node i (self branch) and of every in-neighbor j (cross
-     branch, one set per edge), then the update/readout from the base
-     model apply unchanged.
+  2. position update — spin's block (`spin.position_update`) with the
+     updated hubs as keys: each position (i, τ) attends over the K hubs
+     of node i (self branch) and of every in-neighbor j (cross branch,
+     one set per edge), then the update and readout apply unchanged.
 
 All softmax sets in phase 2 have fixed size K, so the per-layer pair
 count is (N+E)·W·K plus the phase-1 count (N·W_obs·K when masked), linear
@@ -33,8 +33,9 @@ from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_PERIODS
 from .errors import ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
-from .spin import (ImputationOutput, _check_window, _Parameters, attend,
-                   init_states, message_sets, node_steps, step_sets)
+from .spin import (ImputationOutput, _Parameters, attend, init_states,
+                   message_sets, node_steps, position_update, run_layers,
+                   score_vector, step_sets)
 
 N_LAYERS_H = 5
 N_MASKED_LAYERS_H = 3
@@ -89,80 +90,45 @@ class SpinHParameters(_Parameters):
         base_rows = n_nodes * n_hubs if per_node_hubs else n_hubs
         self.hub_base = T.Value(rng.normal(0.0, HUB_INIT_STD, size=(base_rows, d_z)),
                                 requires_grad=True)
-        self.layers = []
-        for _ in range(n_layers):
-            self.layers.append({
-                "hub_msg": Mlp([d_h + d_z, hidden, d_z], rng),
-                "hub_score": T.Value(rng.normal(0.0, 1.0 / np.sqrt(d_z),
-                                                size=(d_z, 1)), requires_grad=True),
-                "hub_fuse": Mlp([2 * d_z, hidden, d_z], rng),
-                "self_msg": Mlp([d_z + d_h, hidden, d_h], rng),
-                "self_score": T.Value(rng.normal(0.0, 1.0 / np.sqrt(d_h),
-                                                 size=(d_h, 1)), requires_grad=True),
-                "cross_msg": Mlp([d_z + d_h, hidden, d_h], rng),
-                "cross_score": T.Value(rng.normal(0.0, 1.0 / np.sqrt(d_h),
-                                                  size=(d_h, 1)), requires_grad=True),
-                "update": Mlp([3 * d_h, hidden, d_h], rng),
-            })
+        self.layers = [{
+            "hub_msg": Mlp([d_h + d_z, hidden, d_z], rng),
+            "hub_score": score_vector(d_z, rng),
+            "hub_fuse": Mlp([2 * d_z, hidden, d_z], rng),
+            "self_msg": Mlp([d_z + d_h, hidden, d_h], rng),
+            "self_score": score_vector(d_h, rng),
+            "cross_msg": Mlp([d_z + d_h, hidden, d_h], rng),
+            "cross_score": score_vector(d_h, rng),
+            "update": Mlp([3 * d_h, hidden, d_h], rng),
+        } for _ in range(n_layers)]
         self.readout = Mlp([d_h, hidden, 1], rng)
 
-    def named_parameters(self):
-        out = self._init_parameters()
-        out.append(("hubs.base", self.hub_base))
-        for l, blk in enumerate(self.layers):
-            out += blk["hub_msg"].named_parameters(f"layers.{l}.hub.message")
-            out.append((f"layers.{l}.hub.score", blk["hub_score"]))
-            out += blk["hub_fuse"].named_parameters(f"layers.{l}.hub.fuse")
-            out += blk["self_msg"].named_parameters(f"layers.{l}.self.message")
-            out.append((f"layers.{l}.self.score", blk["self_score"]))
-            out += blk["cross_msg"].named_parameters(f"layers.{l}.cross.message")
-            out.append((f"layers.{l}.cross.score", blk["cross_score"]))
-            out += blk["update"].named_parameters(f"layers.{l}.update")
-        out += self.readout.named_parameters("readout")
-        return out
+    def _init_parameters(self):
+        return super()._init_parameters() + [("hubs.base", self.hub_base)]
 
     def hub_rows(self, n_nodes) -> T.Value:
         """The layer-0 hub state, one row per (node, hub)."""
-        if self.per_node_hubs:
-            idx = np.arange(n_nodes * self.n_hubs, dtype=np.intp)
-        else:
-            idx = np.tile(np.arange(self.n_hubs, dtype=np.intp), n_nodes)
-        return T.gather_rows(self.hub_base, idx)
+        rows = np.arange(n_nodes * self.n_hubs, dtype=np.intp)
+        return T.gather_rows(self.hub_base,
+                             rows if self.per_node_hubs else rows % self.n_hubs)
 
 
 def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
                   input_mask=None, collect_alphas=False) -> ImputationOutput:
     """Run the hierarchical stack on one window."""
-    n_layers, n_masked = params.n_layers, params.n_masked
-    values, input_mask = _check_window(window, input_mask, graph)
-    w, n = values.shape
+    input_mask, x_leaf, h = init_states(params, window, graph, input_mask)
+    z = params.hub_rows(graph.n_nodes)
+    plan = HubPlan(input_mask, graph, params.n_hubs,
+                   params.n_masked < params.n_layers)
 
-    x_leaf, h = init_states(params, window, values, input_mask)
-    z = params.hub_rows(n)
-    plan = HubPlan(input_mask, graph, params.n_hubs, n_masked < n_layers)
-    read_self, read_cross = plan.read_self, plan.read_cross
-
-    readouts, pairs, alphas = [], [], []
-    for l in range(n_layers):
-        hub = plan.masked_hub if l < n_masked else plan.open_hub
-        blk = params.layers[l]
+    def layer(blk, h, masked):
+        nonlocal z
+        hub = plan.masked_hub if masked else plan.open_hub
         c_hub, a_hub = attend(h, z, hub.key, hub.query, hub.starts, hub.out,
                               hub.n_out, blk["hub_msg"], blk["hub_score"],
                               collect_alphas)
         z = blk["hub_fuse"](T.concat([z, c_hub], axis=-1))
-        c, a_self = attend(z, h, read_self.key, read_self.query, read_self.starts,
-                           read_self.out, read_self.n_out, blk["self_msg"],
-                           blk["self_score"], collect_alphas)
-        e, a_cross = attend(z, h, read_cross.key, read_cross.query,
-                            read_cross.starts, read_cross.out, read_cross.n_out,
-                            blk["cross_msg"], blk["cross_score"], collect_alphas)
-        h = blk["update"](T.concat([h, c, e], axis=-1))
-        readouts.append(T.reshape(params.readout(h), (w, n)))
-        pairs.append({"hub": hub.n_pairs, "self": read_self.n_pairs,
-                      "cross": read_cross.n_pairs, "masked": l < n_masked})
-        if collect_alphas:
-            alphas.append({"hub": a_hub, "self": a_self, "cross": a_cross})
+        h, pairs, audits = position_update(blk, z, h, plan.read_self,
+                                           plan.read_cross, collect_alphas)
+        return h, {"hub": hub.n_pairs, **pairs}, {"hub": a_hub, **audits}
 
-    return ImputationOutput(readouts=readouts, x_leaf=x_leaf, values=values,
-                            input_mask=input_mask.copy(), pairs_per_layer=pairs,
-                            alphas=alphas if collect_alphas else None)
+    return run_layers(params, x_leaf, h, input_mask.shape, layer, collect_alphas)

@@ -35,11 +35,14 @@ def _keep_large_allocations_on_heap():
     Every layer of every pass allocates multi-MB arrays; with default
     malloc tuning each one is a fresh mmap whose pages fault in on first
     write. Raising the mmap/trim thresholds keeps those buffers on the
-    heap for reuse. Measured with perfbench (seed 11, 2-vCPU Xeon, BLAS
-    on one thread): spin-impute-block takes 0.022 s per window with it
-    and 0.027 s without; spin-train-w24 steps are within noise
-    (0.33 s either way). Best effort: silently skipped where glibc is
-    unavailable.
+    heap for reuse. The setting is process-global, so importing the
+    package leaves it alone: `train.train` and `cli.main`, the entry
+    points, apply it on entry. Measured with perfbench (seed 11, 2-vCPU
+    Xeon, BLAS on one thread, `--seconds 10`, 6 interleaved pairs),
+    `op_s_p50` read the same with the call made on import or on entry:
+    spin-impute-block 0.045-0.048 s and 0.031-0.049 s per window (0.061-
+    0.070 s without the call), spin-train-w24 0.61-0.73 s and 0.53-0.76 s
+    per step. Best effort: silently skipped where glibc is unavailable.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
@@ -48,8 +51,6 @@ def _keep_large_allocations_on_heap():
     except (OSError, AttributeError):
         pass
 
-
-_keep_large_allocations_on_heap()
 
 _ACTIVE_TAPE = None
 

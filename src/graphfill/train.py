@@ -87,6 +87,7 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     dataset must already be normalized. history is a list of per-epoch
     dicts with keys epoch, train_loss, val_mae, lr.
     """
+    T._keep_large_allocations_on_heap()
     config.validate()
     rng = np.random.default_rng(config.seed)
     train_sl, val_sl, _ = split_slices(dataset.n_steps, config.split)

@@ -38,7 +38,8 @@ def test_every_traced_span_has_a_live_target():
 @pytest.mark.parametrize("workload, trace", [("spin-train-w24", 0),
                                              ("spin-impute-block", 0),
                                              ("spin-train-w24", 1),
-                                             ("spinh-train-w96", 1)])
+                                             ("spinh-train-w96", 1),
+                                             ("spin-impute-block", 1)])
 def test_benchmark_prints_a_correct_result(workload, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", "11", "--seconds", "0", "--trace", str(trace)]

@@ -10,6 +10,7 @@ from graphfill.checkpoint import load_params, save_params
 from graphfill.errors import ValidationError
 from graphfill.nn import Mlp
 from graphfill.spin import SpinParameters
+from graphfill.spin_h import SpinHParameters
 
 
 def test_mlp_round_trip_bit_exact(tmp_path):
@@ -22,6 +23,34 @@ def test_mlp_round_trip_bit_exact(tmp_path):
     load_params(path, fresh.named_parameters("block"))
     for (_, a), (_, b) in zip(named, fresh.named_parameters("block")):
         assert np.array_equal(a.data, b.data)
+
+
+def _mlp(prefix):
+    return [f"{prefix}.layer{k}.{part}" for k in (0, 1)
+            for part in ("weight", "bias")]
+
+
+INIT_NAMES = (["encoding.spatial"] + _mlp("encoding.fuse") + _mlp("init.target")
+              + _mlp("init.observed"))
+
+
+@pytest.mark.parametrize("cls, head, layer", [
+    (SpinParameters, [], [_mlp("cross.message"), ["cross.score"],
+                          _mlp("self.message"), ["self.score"], _mlp("update")]),
+    (SpinHParameters, ["hubs.base"],
+     [_mlp("hub.message"), ["hub.score"], _mlp("hub.fuse"),
+      _mlp("self.message"), ["self.score"], _mlp("cross.message"),
+      ["cross.score"], _mlp("update")]),
+])
+def test_parameter_names_and_order_are_stable(cls, head, layer):
+    # Checkpoints are keyed by these names, and Adam and clipping run in
+    # this order: a rename or reorder breaks saved models.
+    want = INIT_NAMES + head
+    for l in range(2):
+        want += [f"layers.{l}.{name}" for part in layer for name in part]
+    want += _mlp("readout")
+    params = cls(3, n_layers=2, n_masked=1, rng=0)
+    assert [name for name, _ in params.named_parameters()] == want
 
 
 def test_full_model_round_trip(tmp_path):

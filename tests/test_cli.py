@@ -1,10 +1,14 @@
 """End-to-end command-line pipeline on a small generated series."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphfill
 from graphfill.cli import main
 
 
@@ -50,6 +54,39 @@ def pipeline(tmp_path_factory):
     return {"root": root, "synth_dir": synth_dir, "run_dir": run_dir,
             "run_cfg": run_cfg, "run_cfg_path": run_cfg_path,
             "summary": summary}
+
+
+MALLOC_PROBE = """
+import ctypes, importlib, pkgutil, sys
+import numpy
+calls = []
+class Libc:
+    def __init__(self, name, *args, **kwargs):
+        pass
+    def mallopt(self, param, value):
+        calls.append((param, value))
+        return 1
+ctypes.CDLL = Libc
+sys.path.insert(0, sys.argv[1])
+import graphfill
+for module in pkgutil.iter_modules(graphfill.__path__):
+    importlib.import_module("graphfill." + module.name)
+print(len(calls))
+from graphfill.cli import main
+main(["train", "--config", "absent.json"])
+print(len(calls))
+"""
+
+
+def test_import_leaves_malloc_tuning_alone(tmp_path):
+    # mallopt is process-global: importing the package must not call it;
+    # entering through cli.main does.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphfill.__file__)))
+    proc = subprocess.run([sys.executable, "-c", MALLOC_PROBE, src],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "2"], proc.stdout
 
 
 def test_synth_artifacts(pipeline):

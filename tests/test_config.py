@@ -132,6 +132,7 @@ BAD_INPUTS = {
     "unknown nested key": (
         break_config("model", "hubs.KK", 3), "config", "'model.hubs.KK'"),
     "ragged mask": (break_line("mask", 3, "1,1"), "mask", "row 3"),
+    "ragged values row": (break_line("values", 3, "0.1,0.2"), "values", "row 3"),
     "non-numeric distance cell": (
         break_line("distances", 2, "1,zero,1"), "distances", "row 2, column 2"),
     "non-numeric value cell": (

@@ -35,7 +35,7 @@ def test_load_dataset_ragged_row_rejected(tmp_path):
     path = os.path.join(tmp_path, "values.csv")
     with open(path, "w") as f:
         f.write("a,b\n1.0,2.0\n3.0\n")
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValidationError, match="row 3 has 1 cells"):
         load_dataset(path)
 
 
@@ -78,6 +78,15 @@ def test_split_slices_sequential_and_exhaustive():
     assert a.stop == b.start and b.stop == c.start and c.stop == 33
     with pytest.raises(ValidationError):
         split_slices(10, (0.5, 0.2, 0.2))
+
+
+@pytest.mark.parametrize("n_steps, sizes", [(40, (28, 4, 8)),
+                                            (2000, (1400, 200, 400)),
+                                            (4824, (3376, 483, 965))])
+def test_split_slices_exact_boundaries(n_steps, sizes):
+    # (0.7 + 0.1) * 40 is 31.999999999999996 in floating point.
+    got = tuple(s.stop - s.start for s in split_slices(n_steps))
+    assert got == sizes
 
 
 def test_normalize_uses_training_slice_only():

@@ -250,16 +250,6 @@ def test_permutation_equivariance():
         assert np.max(np.abs(permuted - base[:, perm])) <= 1e-10
 
 
-def test_filled_keeps_observations():
-    window, graph, params = random_case(5, n_nodes=3, width=5)
-    with T.no_grad():
-        out = spin_forward(window, graph, params)
-    filled = out.filled()
-    obs = window.mask == 1
-    assert np.array_equal(filled[obs], window.values[obs])
-    assert np.array_equal(filled[~obs], out.predictions[~obs])
-
-
 def test_input_mask_defaults_to_window_mask():
     window, graph, params = random_case(6, n_nodes=3, width=5)
     with T.no_grad():
