@@ -27,24 +27,33 @@ def save_params(path, named_params):
 def load_params(path, named_params):
     """Fill the Values in [(name, Value)] from `path`, in place.
 
-    The checkpoint must carry exactly the expected names and shapes.
+    The checkpoint must carry exactly the expected names and shapes, and
+    finite numbers. Any fault is a ValidationError naming `path` and, where
+    there is one, the parameter.
     """
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected an object of parameters")
     expected = {name for name, _ in named_params}
-    got = set(doc)
-    if expected != got:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        raise ValidationError(
-            f"checkpoint parameter names do not match: missing {missing}, extra {extra}")
+    if expected != set(doc):
+        raise ValidationError(f"{path}: checkpoint parameter names do not match: "
+                              f"missing {sorted(expected - set(doc))}, "
+                              f"extra {sorted(set(doc) - expected)}")
     for name, p in named_params:
-        entry = doc[name]
-        shape = tuple(entry["shape"])
-        if shape != p.data.shape:
-            raise ValidationError(
-                f"checkpoint shape {shape} != expected {p.data.shape} for {name}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        where = f"{path}: parameter {name}"
+        try:
+            shape = tuple(doc[name]["shape"])
+            if shape != p.data.shape:
+                raise ValueError(f"shape {shape} != expected {p.data.shape}")
+            arr = np.asarray(doc[name]["data"], dtype=np.float64).reshape(shape)
+        except KeyError as exc:
+            raise ValidationError(f"{where}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: {exc}") from None
         if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"checkpoint entry {name} contains non-finite values")
+            raise ValidationError(f"{where}: contains non-finite values")
         p.data = arr

@@ -1,12 +1,13 @@
-"""Command-line entry point.
+"""The command-line interface; `graphfill.__main__` is the entry point.
 
 Subcommands: synth | inject | train | impute | evaluate | benchmark.
 All behavior is driven by one JSON config (see config.py); the only
 flags are the config path, an optional checkpoint path, and an optional
-output-directory override. Every command writes a resolved-config
-snapshot into the output directory so a run can be replayed bit-exactly.
+output-directory override. `main` writes a resolved-config snapshot into
+the output directory after every successful command, so a run can be
+replayed bit-exactly.
 
-Exit codes: 0 success, 1 config/input validation error, 2 runtime
+Exit codes: 0 success, 1 bad config or input (the file is named), 2 runtime
 failure.
 """
 
@@ -25,9 +26,9 @@ from . import __version__
 from . import tensor as T
 from .checkpoint import load_params, save_params
 from .config import InjectConfig, RunConfig, build_params, load_run_config
-from .data import (Dataset, SpatioTemporalWindow, inject_block_missing,
-                   inject_point_missing, inject_sparsity_sweep, load_dataset,
-                   normalize, save_grid_csv, split_slices)
+from .data import (Dataset, inject_block_missing, inject_point_missing,
+                   inject_sparsity_sweep, load_dataset, normalize, save_grid_csv,
+                   split_slices)
 from .errors import GraphfillError, ValidationError
 from .graph import (SensorGraph, build_adjacency_gaussian, load_distances_csv,
                     load_edges_csv)
@@ -51,12 +52,6 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
-
-
-def _write_snapshot(cfg: RunConfig, command: str):
-    return _write_json(cfg, f"resolved_config.{command}.json",
-                       {"command": command, "version": __version__,
-                        "config": cfg.to_dict()})
 
 
 def build_graph(cfg: RunConfig, n_nodes: int) -> SensorGraph:
@@ -119,7 +114,6 @@ def cmd_synth(cfg: RunConfig) -> int:
         "suggested_gamma": res.gamma, "suggested_delta": res.delta,
         "n_edges_at_suggested_kernel": graph.n_edges,
         "values_csv": values_path, "distances_csv": dist_path})
-    _write_snapshot(cfg, "synth")
     print(f"synth: wrote {values_path} ({s.n_steps}x{s.n_nodes}) and "
           f"{dist_path}; suggested gamma={res.gamma:.6g} delta={res.delta:.6g} "
           f"({graph.n_edges} directed edges)")
@@ -143,7 +137,6 @@ def cmd_inject(cfg: RunConfig) -> int:
                "n_valid_after": int(injected.mask.sum()),
                "mask_csv": mask_path, "eval_mask_csv": eval_path}
     _write_json(cfg, "inject_summary.json", summary)
-    _write_snapshot(cfg, "inject")
     print(f"inject: policy={cfg.inject.policy} removed {n_removed} of "
           f"{n_before} valid entries ({summary['fraction_removed']:.2%}); "
           f"wrote {mask_path}, {eval_path}")
@@ -170,7 +163,6 @@ def cmd_train(cfg: RunConfig) -> int:
         for row in history:
             f.write(f"{row['epoch']},{row['train_loss']:.17g},"
                     f"{row['val_mae']:.17g},{row['lr']:.17g}\n")
-    _write_snapshot(cfg, "train")
     print(f"train: best val_mae {best_val:.5f} after {len(history)} epochs "
           f"({time.time() - t0:.0f}s); wrote {ckpt_path}, {hist_path}")
     return 0
@@ -197,21 +189,15 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
     predictions = np.full(dataset.values.shape, np.nan)
     with T.no_grad():
         for start in starts:
-            sl = slice(start, start + width)
-            win = SpatioTemporalWindow(values=dataset.values[sl],
-                                       mask=dataset.mask[sl],
-                                       eval_mask=dataset.eval_mask[sl],
-                                       step_offsets=dataset.timestamps[sl])
-            pred = stats.invert(fwd(win, graph, params).predictions)
-            block = predictions[sl]
+            pred = stats.invert(fwd(dataset.window(start, width), graph,
+                                    params).predictions)
+            block = predictions[start:start + width]  # a view: filled in place
             block[np.isnan(block)] = pred[np.isnan(block)]
-            predictions[sl] = block
     filled = np.where(dataset.mask == 1, raw.values, predictions)
     if not np.all(np.isfinite(filled)):
         raise GraphfillError("imputation left unfilled cells")
     imputed_path = os.path.join(out, "imputed.csv")
     save_grid_csv(imputed_path, filled, header=dataset.columns)
-    _write_snapshot(cfg, "impute")
     n_filled = int((dataset.mask == 0).sum())
     print(f"impute: filled {n_filled} missing cells; wrote {imputed_path}")
     return 0
@@ -225,7 +211,6 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str) -> int:
     for kind in ("mean", "knn"):
         metrics[kind] = evaluate_baseline(kind, dataset, graph, *windows)
     path = _write_json(cfg, "metrics.json", metrics)
-    _write_snapshot(cfg, "evaluate")
     for name in (cfg.model.variant, "mean", "knn"):
         print(f"evaluate: {name:6s} mae {metrics[name]['mae']:.5f} "
               f"(n_eval {metrics[name]['n_eval']})")
@@ -248,7 +233,8 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         model_cfg = replace(cfg.model, variant=variant, n_layers=2, n_masked=1)
         fwd = spin_forward if variant == "spin" else spinh_forward
         cases = [(build_params(model_cfg, n, b.seed),
-                  _full_window(rng.normal(size=(width, n))))
+                  Dataset(rng.normal(size=(width, n)),
+                          np.ones((width, n))).window(0, width))
                  for width in BENCHMARK_WIDTHS]
         # Repeats cycle through the widths, so a machine that runs slowly
         # for a while (CPUs waking from idle) slows every width alike and
@@ -283,21 +269,12 @@ def cmd_benchmark(cfg: RunConfig) -> int:
                             "wall_s": wall})
         report["variants"][variant] = entries
     path = _write_json(cfg, "complexity_report.json", report)
-    _write_snapshot(cfg, "benchmark")
     for variant, entries in report["variants"].items():
         line = "  ".join(f"W={r['W']}: {r['pairs_per_open_layer']} pairs, "
                          f"{r['wall_s'] * 1e3:.1f}ms" for r in entries)
         print(f"benchmark: {variant:6s} {line}")
     print(f"benchmark: wrote {path}")
     return 0
-
-
-def _full_window(values):
-    w, n = values.shape
-    return SpatioTemporalWindow(values=values,
-                                mask=np.ones((w, n), dtype=np.uint8),
-                                eval_mask=np.zeros((w, n), dtype=np.uint8),
-                                step_offsets=np.arange(w, dtype=np.float64))
 
 
 COMMANDS = {"synth": cmd_synth, "inject": cmd_inject, "train": cmd_train,
@@ -335,19 +312,21 @@ def main(argv=None) -> int:
         if cfg.data is None and args.command in NEEDS_DATA:
             raise ValidationError(
                 f"{args.config}: '{args.command}' needs a 'data' section")
-        if args.command in NEEDS_CHECKPOINT:
-            return COMMANDS[args.command](
-                cfg, args.checkpoint or _default_checkpoint(cfg))
-        return COMMANDS[args.command](cfg)
+        extra = ((args.checkpoint or _default_checkpoint(cfg),)
+                 if args.command in NEEDS_CHECKPOINT else ())
+        code = COMMANDS[args.command](cfg, *extra)
+        if code == 0:
+            _write_json(cfg, f"resolved_config.{args.command}.json",
+                        {"command": args.command, "version": __version__,
+                         "config": cfg.to_dict()})
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
-    except GraphfillError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - report, do not traceback-dump
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

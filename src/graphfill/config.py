@@ -27,6 +27,7 @@ run is reproducible from its resolved snapshot alone.
 
 from __future__ import annotations
 
+import inspect
 import json
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -34,7 +35,12 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from .data import DEFAULT_SPLIT
+from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_HIDDEN, DEFAULT_PERIODS
 from .errors import ValidationError
+from .spin import D_H, N_LAYERS, N_MASKED_LAYERS, SpinParameters
+from .spin_h import D_Z, N_HUBS, N_LAYERS_H, SpinHParameters
+from .synth import synth_series
 
 VARIANTS = ("spin", "spin-h")
 INJECT_PARAMS = {  # policy: the params it accepts
@@ -81,8 +87,9 @@ def opt(key, kind, default=MISSING, ge=None, gt=None, choices=None):
 
 
 # W, stride and split: keys of `data`, copied into the trainer's config
+DEFAULT_W = 24  # window width, and the stride when none is given
 WINDOW = {"kind": "int", "ge": 1}
-SPLIT = {"kind": "numbers", "gt": 0}
+SPLIT = {"kind": "numbers", "default": DEFAULT_SPLIT, "gt": 0}
 
 
 def _join(where, key):
@@ -169,9 +176,9 @@ class DataConfig:
     edges_csv: str = opt("edges_csv", "str", None)
     gamma: float = opt("gamma", "number", None, gt=0)
     delta: float = opt("delta", "number", None, gt=0)
-    width: int = opt("W", default=24, **WINDOW)
+    width: int = opt("W", default=DEFAULT_W, **WINDOW)
     stride: int = opt("stride", default=None, **WINDOW)  # None: W
-    split: tuple = opt("split", default=(0.7, 0.1, 0.2), **SPLIT)
+    split: tuple = opt("split", **SPLIT)
 
     def resolve(self):
         if (self.distances_csv is None) == (self.edges_csv is None):
@@ -192,31 +199,31 @@ class DataConfig:
 
 @dataclass
 class HubConfig:
-    n_hubs: int = opt("K", "int", 4, ge=1)
-    d_z: int = opt("d_z", "int", 128, ge=1)
+    n_hubs: int = opt("K", "int", N_HUBS, ge=1)
+    d_z: int = opt("d_z", "int", D_Z, ge=1)
     per_node_hubs: bool = opt("per_node_hubs", "bool", False)
 
 
 @dataclass
 class EncodingConfig:
-    periods: tuple = opt("periods", "numbers", (24.0,), gt=0)
-    d_v: int = opt("d_v", "int", 16, ge=1)
-    d_q: int = opt("d_q", "int", 32, ge=1)
+    periods: tuple = opt("periods", "numbers", DEFAULT_PERIODS, gt=0)
+    d_v: int = opt("d_v", "int", DEFAULT_D_V, ge=1)
+    d_q: int = opt("d_q", "int", DEFAULT_D_Q, ge=1)
 
 
 @dataclass
 class ModelConfig:
     variant: str = opt("variant", "str", "spin", choices=VARIANTS)
-    n_layers: int = opt("L", "int", None, ge=1)  # None: 4, or 5 for spin-h
-    n_masked: int = opt("eta", "int", 3, ge=1)
-    d_h: int = opt("d_h", "int", 32, ge=1)
-    hidden: int = opt("hidden", "int", 32, ge=1)
+    n_layers: int = opt("L", "int", None, ge=1)  # None: the variant's default
+    n_masked: int = opt("eta", "int", N_MASKED_LAYERS, ge=1)
+    d_h: int = opt("d_h", "int", D_H, ge=1)
+    hidden: int = opt("hidden", "int", DEFAULT_HIDDEN, ge=1)
     hubs: HubConfig = opt("hubs", HubConfig)
     encoding: EncodingConfig = opt("encoding", EncodingConfig)
 
     def resolve(self):
         if self.n_layers is None:
-            self.n_layers = 5 if self.variant == "spin-h" else 4
+            self.n_layers = N_LAYERS_H if self.variant == "spin-h" else N_LAYERS
         if self.n_masked > self.n_layers:
             raise ValidationError(f"'model.eta' ({self.n_masked}) cannot exceed "
                                   f"'model.L' ({self.n_layers})")
@@ -244,9 +251,9 @@ class TrainConfig:
     restart_period: int = opt("restart_period", "int", 100, ge=1)
     seed: int = opt("seed", "int", 0, ge=0)
     subsample: SubsampleConfig = opt("subsample", SubsampleConfig, None)
-    width: int = opt(None, default=24, **WINDOW)
-    stride: int = opt(None, default=24, **WINDOW)
-    split: tuple = opt(None, default=(0.7, 0.1, 0.2), **SPLIT)
+    width: int = opt(None, default=DEFAULT_W, **WINDOW)
+    stride: int = opt(None, default=DEFAULT_W, **WINDOW)
+    split: tuple = opt(None, **SPLIT)
 
     def __post_init__(self):
         if isinstance(self.subsample, dict):  # as callers in code pass it
@@ -288,14 +295,20 @@ class OutputConfig:
     dir: str = opt("dir", "str", "runs/out")
 
 
+SYNTH = {name: p.default
+         for name, p in inspect.signature(synth_series).parameters.items()}
+
+
 @dataclass
 class SynthConfig:
-    n_nodes: int = opt("n_nodes", "int", 20)
-    n_steps: int = opt("n_steps", "int", 2000)
-    seed: int = opt("seed", "int", 0, ge=0)
-    periods: tuple = opt("periods", "numbers", (24.0, 12.0), gt=0)
-    noise_std: float = opt("noise_std", "number", 0.05, ge=0)
-    target_neighbors: int = opt("target_neighbors", "int", 2, ge=1)
+    """Keyword arguments of `synth_series`, with its defaults."""
+    n_nodes: int = opt("n_nodes", "int", SYNTH["n_nodes"])
+    n_steps: int = opt("n_steps", "int", SYNTH["n_steps"])
+    seed: int = opt("seed", "int", SYNTH["seed"], ge=0)
+    periods: tuple = opt("periods", "numbers", SYNTH["periods"], gt=0)
+    noise_std: float = opt("noise_std", "number", SYNTH["noise_std"], ge=0)
+    target_neighbors: int = opt("target_neighbors", "int",
+                                SYNTH["target_neighbors"], ge=1)
 
 
 @dataclass
@@ -352,9 +365,6 @@ def load_run_config(path) -> RunConfig:
 
 def build_params(model: ModelConfig, n_nodes: int, seed: int):
     """Construct the parameter object a config describes."""
-    from .spin import SpinParameters
-    from .spin_h import SpinHParameters
-
     rng = np.random.default_rng(seed)
     common = dict(n_nodes=n_nodes, d_h=model.d_h, n_layers=model.n_layers,
                   n_masked=model.n_masked, hidden=model.hidden,

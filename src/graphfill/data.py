@@ -20,6 +20,7 @@ import numpy as np
 from .errors import MetricError, ShapeError, ValidationError
 
 BLANK_CELLS = ("", "nan", "NaN")  # a values.csv cell that means "missing"
+DEFAULT_SPLIT = (0.7, 0.1, 0.2)  # train/val/test fractions
 
 
 def _as_binary(arr, name):
@@ -96,6 +97,13 @@ class Dataset:
         return self.replace(values=self.values[sl], mask=self.mask[sl],
                             eval_mask=self.eval_mask[sl],
                             timestamps=self.timestamps[sl])
+
+    def window(self, start, width) -> SpatioTemporalWindow:
+        """Steps start:start+width as a window of views into this dataset."""
+        sl = slice(start, start + width)
+        return SpatioTemporalWindow(values=self.values[sl], mask=self.mask[sl],
+                                    eval_mask=self.eval_mask[sl],
+                                    step_offsets=self.timestamps[sl])
 
 
 @dataclass
@@ -218,7 +226,7 @@ def save_grid_csv(path, arr, header=None, fmt="%.17g"):
                              for x in row])
 
 
-def split_slices(n_steps, fracs=(0.7, 0.1, 0.2)):
+def split_slices(n_steps, fracs=DEFAULT_SPLIT):
     """Sequential train/val/test slices by step index.
 
     Cumulative boundaries are rounded to 9 decimals before flooring, so a
@@ -258,21 +266,14 @@ def normalize(dataset: Dataset, train_slice=None):
 
 
 def make_windows(dataset: Dataset, width: int, stride: int):
-    """Slice into windows at offsets 0, stride, 2*stride, ... (full width only)."""
+    """Windows at offsets 0, stride, 2*stride, ... (full width only), as views."""
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if width < 1 or width > dataset.n_steps:
         raise ValidationError(
             f"window width {width} must lie in [1, {dataset.n_steps}]")
-    windows = []
-    for start in range(0, dataset.n_steps - width + 1, stride):
-        sl = slice(start, start + width)
-        windows.append(SpatioTemporalWindow(
-            values=dataset.values[sl].copy(),
-            mask=dataset.mask[sl].copy(),
-            eval_mask=dataset.eval_mask[sl].copy(),
-            step_offsets=dataset.timestamps[sl].copy()))
-    return windows
+    return [dataset.window(start, width)
+            for start in range(0, dataset.n_steps - width + 1, stride)]
 
 
 def _move_to_eval(mask, eval_mask, drop):

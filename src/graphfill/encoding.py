@@ -14,9 +14,10 @@ from . import tensor as T
 from .errors import ValidationError
 from .nn import Mlp
 
-DEFAULT_PERIODS = (24,)
+DEFAULT_PERIODS = (24.0,)
 DEFAULT_D_V = 16
 DEFAULT_D_Q = 32
+DEFAULT_HIDDEN = 32  # hidden width of every two-layer MLP in the model
 SPATIAL_INIT_STD = 0.1
 
 
@@ -41,7 +42,7 @@ class EncodingParams:
     """Learnable spatial embeddings plus the fusion MLP ρ."""
 
     def __init__(self, n_nodes, periods=DEFAULT_PERIODS, d_v=DEFAULT_D_V,
-                 d_q=DEFAULT_D_Q, hidden=32, rng=None):
+                 d_q=DEFAULT_D_Q, hidden=DEFAULT_HIDDEN, rng=None):
         if n_nodes <= 0:
             raise ValidationError(f"need at least one node, got {n_nodes}")
         rng = np.random.default_rng(rng)

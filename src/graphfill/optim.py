@@ -44,8 +44,7 @@ def adam_step(params, grads, state: AdamState, lr,
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def lr_schedule(step, epoch, base_lr=0.0008, warmup_steps=12,
-                restart_period_epochs=100):
+def lr_schedule(step, epoch, base_lr, warmup_steps, restart_period_epochs):
     """Linear warm-up by optimizer step, then per-epoch cosine decay.
 
     The cosine phase restarts from base_lr at the start of every

@@ -39,14 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_PERIODS, EncodingParams
+from .encoding import (DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_HIDDEN, DEFAULT_PERIODS,
+                       EncodingParams)
 from .errors import ShapeError, ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
 
 D_H = 32
 N_LAYERS = 4
-N_MASKED_LAYERS = 3
+N_MASKED_LAYERS = 3  # eta, for both variants
 
 
 @dataclass
@@ -174,8 +175,9 @@ class SpinParameters(_Parameters):
     """All trainable state: encodings, init/readout MLPs, per-layer blocks."""
 
     def __init__(self, n_nodes, d_h=D_H, n_layers=N_LAYERS,
-                 n_masked=N_MASKED_LAYERS, hidden=32, periods=DEFAULT_PERIODS,
-                 d_v=DEFAULT_D_V, d_q=DEFAULT_D_Q, rng=None):
+                 n_masked=N_MASKED_LAYERS, hidden=DEFAULT_HIDDEN,
+                 periods=DEFAULT_PERIODS, d_v=DEFAULT_D_V, d_q=DEFAULT_D_Q,
+                 rng=None):
         rng = np.random.default_rng(rng)
         super().__init__(n_nodes, d_h, n_layers, n_masked, hidden, periods,
                          d_v, d_q, rng)
@@ -265,11 +267,11 @@ def init_states(params, window, graph, input_mask=None):
     obs_pos = np.flatnonzero(input_mask.ravel() == 1)
     targ_pos = np.flatnonzero(input_mask.ravel() == 0)
     h_obs = params.init_observed(T.concat(
-        [T.gather_rows(x_leaf, obs_pos, unique=True),
-         T.gather_rows(q_flat, obs_pos, unique=True)], axis=-1))
-    h_targ = params.init_target(T.gather_rows(q_flat, targ_pos, unique=True))
-    return input_mask, x_leaf, T.add(T.scatter_rows(h_obs, obs_pos, w * n),
-                                     T.scatter_rows(h_targ, targ_pos, w * n))
+        [T.gather_rows(x_leaf, obs_pos), T.gather_rows(q_flat, obs_pos)], axis=-1))
+    h_targ = params.init_target(T.gather_rows(q_flat, targ_pos))
+    h = T.scatter_rows(T.concat([h_obs, h_targ], axis=0),
+                       np.concatenate([obs_pos, targ_pos]), w * n)
+    return input_mask, x_leaf, h
 
 
 def position_update(blk, key_src, h, self_sets, cross_sets, collect=False):

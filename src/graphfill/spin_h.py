@@ -29,16 +29,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_PERIODS
+from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_HIDDEN, DEFAULT_PERIODS
 from .errors import ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
-from .spin import (ImputationOutput, _Parameters, attend, init_states,
-                   message_sets, node_steps, position_update, run_layers,
-                   score_vector, step_sets)
+from .spin import (D_H, N_MASKED_LAYERS, ImputationOutput, _Parameters, attend,
+                   init_states, message_sets, node_steps, position_update,
+                   run_layers, score_vector, step_sets)
 
 N_LAYERS_H = 5
-N_MASKED_LAYERS_H = 3
 N_HUBS = 4
 D_Z = 128
 HUB_INIT_STD = 0.1
@@ -75,10 +74,10 @@ class HubPlan:
 class SpinHParameters(_Parameters):
     """Trainable state for the hierarchical variant."""
 
-    def __init__(self, n_nodes, d_h=32, d_z=D_Z, n_hubs=N_HUBS,
-                 n_layers=N_LAYERS_H, n_masked=N_MASKED_LAYERS_H, hidden=32,
-                 periods=DEFAULT_PERIODS, d_v=DEFAULT_D_V, d_q=DEFAULT_D_Q,
-                 per_node_hubs=False, rng=None):
+    def __init__(self, n_nodes, d_h=D_H, d_z=D_Z, n_hubs=N_HUBS,
+                 n_layers=N_LAYERS_H, n_masked=N_MASKED_LAYERS,
+                 hidden=DEFAULT_HIDDEN, periods=DEFAULT_PERIODS, d_v=DEFAULT_D_V,
+                 d_q=DEFAULT_D_Q, per_node_hubs=False, rng=None):
         if n_hubs < 1:
             raise ValidationError(f"need at least one hub, got {n_hubs}")
         rng = np.random.default_rng(rng)

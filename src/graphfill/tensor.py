@@ -6,12 +6,12 @@ to input gradients; backward() replays the records in reverse order. With
 no active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: elementwise arithmetic (add, sub, mul,
-div, neg), matmul against a 2-D weight, concat/reshape/row slices,
-relu/abs, axis sums and means, row gather and scatter, and one fused op
-for a whole attention branch (pair messages, per-set softmax and
-weighted sum). That is enough for MLPs, softmax attention over
-variable-size message sets, and training.
+The op set is deliberately small: add, sub, mul, div, neg, vabs, relu,
+matmul against a 2-D weight, concat, reshape, slice_rows, vsum/vmean,
+gather_rows (repeated rows sum their gradients), scatter_rows (a
+scatter-add), and attention_sets, one fused op for a whole attention
+branch (pair messages, per-set softmax and weighted sum). That is enough
+for MLPs, softmax attention over variable-size message sets, and training.
 
 Every operation result must be finite; NaN or Inf raises immediately
 rather than propagating. Leaves are exempt so that deliberately poisoned
@@ -337,24 +337,13 @@ def _scatter_add(rows, idx, n_rows):
     return np.ascontiguousarray(out.T).reshape((n_rows,) + rows.shape[1:])
 
 
-def gather_rows(a, idx, unique=False):
-    """Select rows a[idx] along axis 0.
-
-    Pass unique=True when no index repeats: the backward pass can then
-    assign instead of accumulate, which is much cheaper.
-    """
+def gather_rows(a, idx):
+    """Select rows a[idx] along axis 0; the backward sums the gradients of
+    repeated rows."""
     a = as_value(a)
     idx = np.asarray(idx, dtype=np.intp)
-    data = a.data[idx]
-
-    def backfn(g):
-        if not unique:
-            return (_scatter_add(g, idx, a.data.shape[0]),)
-        ga = np.zeros_like(a.data)
-        ga[idx] = g
-        return (ga,)
-
-    return _make_output(data, (a,), backfn)
+    return _make_output(a.data[idx], (a,),
+                        lambda g: (_scatter_add(g, idx, a.data.shape[0]),))
 
 
 def scatter_rows(rows, idx, n_rows):

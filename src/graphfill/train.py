@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .data import (Dataset, SpatioTemporalWindow, make_windows, split_slices,
-                   training_whiten)
+from .data import (DEFAULT_SPLIT, Dataset, SpatioTemporalWindow, make_windows,
+                   split_slices, training_whiten)
 from .errors import (DivergenceError, EmptySetError, MetricError,
                      NonFiniteError, ValidationError)
 from .graph import SensorGraph, khop_subgraph
@@ -55,7 +55,7 @@ def spin_loss(output, truth, loss_mask) -> T.Value:
     acc = None
     for readout in output.readouts:
         flat = T.reshape(readout, (-1, 1))
-        diff = T.sub(T.gather_rows(flat, pos, unique=True), truth_rows)
+        diff = T.sub(T.gather_rows(flat, pos), truth_rows)
         term = T.vmean(T.vabs(diff))
         acc = term if acc is None else T.add(acc, term)
     return acc
@@ -116,14 +116,7 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
         lr = 0.0
         for _ in range(config.batches_per_epoch):
             offsets = rng.integers(0, max_offset + 1, size=config.batch_size)
-            windows = []
-            for off in offsets:
-                sl = slice(off, off + config.width)
-                windows.append(SpatioTemporalWindow(
-                    values=train_view.values[sl],
-                    mask=train_view.mask[sl],
-                    eval_mask=train_view.eval_mask[sl],
-                    step_offsets=train_view.timestamps[sl]))
+            windows = [train_view.window(off, config.width) for off in offsets]
             batch_graph, node_map, seed_mask = graph, None, None
             if config.subsample is not None:
                 seeds = rng.choice(graph.n_nodes,
@@ -300,7 +293,7 @@ def _score_windows(windows, predict, stats, n_nodes):
 
 
 def evaluate(params, dataset: Dataset, graph: SensorGraph, width, stride,
-             split=(0.7, 0.1, 0.2)):
+             split=DEFAULT_SPLIT):
     """Model MAE on the test split's hidden entries, in data units."""
     windows = _test_windows(dataset, width, stride, split)
     fwd = forward_fn(params)
@@ -313,7 +306,7 @@ def evaluate(params, dataset: Dataset, graph: SensorGraph, width, stride,
 
 
 def evaluate_baseline(kind, dataset: Dataset, graph: SensorGraph, width, stride,
-                      split=(0.7, 0.1, 0.2)):
+                      split=DEFAULT_SPLIT):
     """MAE of a reference baseline ("mean" or "knn") on the same protocol."""
     train_sl, _, _ = split_slices(dataset.n_steps, split)
     node_means, _ = fit_node_means(dataset, train_sl)

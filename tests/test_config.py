@@ -1,12 +1,20 @@
 """The config schema: round trips, and bad configs and CSVs through the CLI."""
 
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from graphfill.checkpoint import save_params
 from graphfill.cli import main
-from graphfill.config import RunConfig
+from graphfill.config import RunConfig, SynthConfig, TrainConfig, build_params
+from graphfill.data import split_slices
+from graphfill.spin import SpinParameters
+from graphfill.spin_h import SpinHParameters
+from graphfill.synth import synth_series
+from graphfill.train import evaluate, evaluate_baseline
 
 N_STEPS, N_NODES = 60, 3
 
@@ -163,3 +171,86 @@ def test_valid_inputs_train(files):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["train", "--config", str(config)]) == 0
+
+
+def corrupt_entry(name, change):
+    """Rewrite the checkpoint so that entry `name` goes through `change`."""
+    def apply(paths, text):
+        doc = json.loads(text)
+        change(doc[name])
+        return json.dumps(doc)
+    return apply
+
+
+BAD_CHECKPOINTS = {
+    # name: (how to break the checkpoint text, the path named, what else)
+    "not JSON": (lambda paths, text: text[:-1], "checkpoint", "not valid JSON"),
+    "entry without data": (
+        corrupt_entry("readout.layer1.bias", lambda e: e.pop("data")),
+        "checkpoint", "readout.layer1.bias: missing key 'data'"),
+    "two values for shape [1]": (
+        corrupt_entry("readout.layer1.bias", lambda e: e.update(data=[0.0, 1.0])),
+        "checkpoint", "readout.layer1.bias: cannot reshape array of size 2"),
+    "non-numeric cell": (
+        corrupt_entry("readout.layer1.weight",
+                      lambda e: e.update(data=["x"] + e["data"][1:])),
+        "checkpoint", "readout.layer1.weight"),
+    "unknown parameter": (
+        lambda paths, text: json.dumps(json.loads(text) | {"bogus": {}}),
+        "checkpoint", "extra ['bogus']"),
+    "checkpoint is a directory": (None, "checkpoint", "cannot open"),
+    "config is a directory": (None, "config", "cannot open"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_bad_checkpoint_exits_1_naming_file(case, files, capsys):
+    tmp_path, paths, doc = files
+    paths["config"] = tmp_path / "config.json"
+    paths["config"].write_text(json.dumps(doc))
+    paths["checkpoint"] = tmp_path / "checkpoint.json"
+    model = RunConfig.from_dict(doc).model
+    save_params(paths["checkpoint"], build_params(model, N_NODES, 0).named_parameters())
+    argv = ["impute", "--config", str(paths["config"]),
+            "--checkpoint", str(paths["checkpoint"])]
+    assert main(argv) == 0  # the unbroken inputs impute
+    snapshot = tmp_path / "out" / "resolved_config.impute.json"
+    snapshot.unlink()
+    apply, culprit, named = BAD_CHECKPOINTS[case]
+    if apply is None:
+        paths[culprit].unlink()
+        paths[culprit].mkdir()
+    else:
+        paths["checkpoint"].write_text(apply(paths, paths["checkpoint"].read_text()))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(paths[culprit]) in err and named in err, err
+    assert not snapshot.exists()  # a failed command writes no snapshot
+
+
+@pytest.mark.parametrize("variant, cls", [("spin", SpinParameters),
+                                          ("spin-h", SpinHParameters)])
+def test_config_defaults_are_the_model_defaults(variant, cls):
+    model = RunConfig.from_dict({"model": {"variant": variant}}).model
+    built = build_params(model, N_NODES, 7).named_parameters()
+    direct = cls(N_NODES, rng=7).named_parameters()
+    assert [(n, p.shape) for n, p in built] == [(n, p.shape) for n, p in direct]
+    for (_, a), (_, b) in zip(built, direct):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_trainer_and_data_defaults_agree():
+    data = RunConfig.from_dict({"data": {"values_csv": "", "edges_csv": ""}}).data
+    train = TrainConfig()
+    assert (train.width, train.stride, train.split) == (
+        data.width, data.stride, data.split)
+    for fn, key in ((split_slices, "fracs"), (evaluate, "split"),
+                    (evaluate_baseline, "split")):
+        assert inspect.signature(fn).parameters[key].default == data.split
+
+
+def test_synth_defaults_are_synth_series_defaults():
+    synth = SynthConfig()
+    given = inspect.signature(synth_series).parameters
+    for f in fields(synth):
+        assert getattr(synth, f.name) == given[f.name].default, f.name

@@ -124,6 +124,16 @@ def test_make_windows_offsets_and_contents():
         make_windows(ds, width=4, stride=0)
 
 
+def test_window_is_a_view_of_the_slice():
+    ds = small_dataset(t=20, n=3)
+    win = ds.window(5, 6)
+    for part, whole in ((win.values, ds.values), (win.mask, ds.mask),
+                        (win.eval_mask, ds.eval_mask),
+                        (win.step_offsets, ds.timestamps)):
+        assert np.shares_memory(part, whole)
+        assert np.array_equal(part, whole[5:11])
+
+
 def test_point_injection_rate_and_conservation():
     rng = np.random.default_rng(5)
     mask = (rng.random((100, 100)) < 0.9).astype(np.uint8)

@@ -150,7 +150,7 @@ def test_gather_scatter_grads():
     def fv(a):
         g = T.gather_rows(a, idx)
         s = T.scatter_rows(g, np.array([0, 0, 1, 2, 2]), 3)
-        u = T.gather_rows(a, uniq, unique=True)
+        u = T.gather_rows(a, uniq)
         return T.add(T.vsum(T.mul(s, s)), T.vsum(u))
 
     def ff(a):
@@ -160,6 +160,21 @@ def test_gather_scatter_grads():
         return float(np.sum(s ** 2) + a[uniq].sum())
 
     check_grads(fv, ff, [a])
+
+    # Repeated rows sum their gradients; distinct rows get exactly the
+    # assignment gradient (zeros, with g written at the gathered rows).
+    for rows, repeats in ((idx, True), (uniq, False)):
+        upstream = rng.normal(size=(len(rows), 3))
+        leaf = T.Value(a, requires_grad=True)
+        with T.Tape():
+            picked = T.gather_rows(leaf, rows)
+            grad = T.backward(T.vsum(T.mul(picked, upstream)))[leaf]
+        want = np.zeros_like(a)
+        if repeats:
+            np.add.at(want, rows, upstream)
+        else:
+            want[rows] = upstream
+        assert np.array_equal(grad.view(np.uint64), want.view(np.uint64))
 
 
 def test_segment_sum_and_repeat_grads():
