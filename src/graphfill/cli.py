@@ -1,4 +1,4 @@
-"""The command-line interface; `graphfill.__main__` is the entry point.
+"""Command-line entry point.
 
 Subcommands: synth | inject | train | impute | evaluate | benchmark.
 All behavior is driven by one JSON config (see config.py); the only
@@ -7,8 +7,8 @@ output-directory override. `main` writes a resolved-config snapshot into
 the output directory after every successful command, so a run can be
 replayed bit-exactly.
 
-Exit codes: 0 success, 1 bad config or input (the file is named), 2 runtime
-failure.
+Exit codes: 0 success, 1 bad config or input, or a path that cannot be
+opened or created (the file is named), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -323,9 +323,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except (FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
+        # an input that cannot be read or an output that cannot be created
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - report, do not traceback-dump
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -182,8 +182,21 @@ def corrupt_entry(name, change):
     return apply
 
 
-BAD_CHECKPOINTS = {
-    # name: (how to break the checkpoint text, the path named, what else)
+def output_at(below):
+    """Point output.dir at a plain file, or at a directory `below` one."""
+    def apply(paths, text):
+        plain = paths["config"].with_name("plain")
+        plain.write_text("")
+        paths["output"] = plain / below if below else plain
+        doc = json.loads(paths["config"].read_text())
+        doc["output"]["dir"] = str(paths["output"])
+        paths["config"].write_text(json.dumps(doc))
+        return text
+    return apply
+
+
+BAD_IMPUTE_FILES = {
+    # name: (how to break the checkpoint text or config, the path named, what else)
     "not JSON": (lambda paths, text: text[:-1], "checkpoint", "not valid JSON"),
     "entry without data": (
         corrupt_entry("readout.layer1.bias", lambda e: e.pop("data")),
@@ -198,13 +211,15 @@ BAD_CHECKPOINTS = {
     "unknown parameter": (
         lambda paths, text: json.dumps(json.loads(text) | {"bogus": {}}),
         "checkpoint", "extra ['bogus']"),
-    "checkpoint is a directory": (None, "checkpoint", "cannot open"),
-    "config is a directory": (None, "config", "cannot open"),
+    "checkpoint is a directory": (None, "checkpoint", "Is a directory"),
+    "config is a directory": (None, "config", "Is a directory"),
+    "output dir is a file": (output_at(None), "output", "File exists"),
+    "output dir below a file": (output_at("run"), "output", "Not a directory"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
-def test_bad_checkpoint_exits_1_naming_file(case, files, capsys):
+@pytest.mark.parametrize("case", sorted(BAD_IMPUTE_FILES))
+def test_bad_impute_file_exits_1_naming_it(case, files, capsys):
     tmp_path, paths, doc = files
     paths["config"] = tmp_path / "config.json"
     paths["config"].write_text(json.dumps(doc))
@@ -216,7 +231,7 @@ def test_bad_checkpoint_exits_1_naming_file(case, files, capsys):
     assert main(argv) == 0  # the unbroken inputs impute
     snapshot = tmp_path / "out" / "resolved_config.impute.json"
     snapshot.unlink()
-    apply, culprit, named = BAD_CHECKPOINTS[case]
+    apply, culprit, named = BAD_IMPUTE_FILES[case]
     if apply is None:
         paths[culprit].unlink()
         paths[culprit].mkdir()
