@@ -11,16 +11,17 @@ import json
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ValidationError
 
 
 def save_params(path, named_params):
-    """Write [(name, Value)] to `path`."""
+    """Write [(name, Value)] to `path`, atomically."""
     doc = {}
     for name, p in named_params:
         doc[name] = {"shape": list(p.data.shape),
                      "data": [float(x) for x in p.data.ravel()]}
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f)
 
 

@@ -26,9 +26,9 @@ from . import __version__
 from . import tensor as T
 from .checkpoint import load_params, save_params
 from .config import InjectConfig, RunConfig, build_params, load_run_config
-from .data import (Dataset, inject_block_missing, inject_point_missing,
-                   inject_sparsity_sweep, load_dataset, normalize, save_grid_csv,
-                   split_slices)
+from .data import (Dataset, atomic_write, inject_block_missing,
+                   inject_point_missing, inject_sparsity_sweep, load_dataset,
+                   normalize, save_grid_csv, split_slices)
 from .errors import GraphfillError, ValidationError
 from .graph import (SensorGraph, build_adjacency_gaussian, load_distances_csv,
                     load_edges_csv)
@@ -48,7 +48,7 @@ def _outdir(cfg: RunConfig) -> str:
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
     path = os.path.join(_outdir(cfg), name)
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
@@ -62,7 +62,10 @@ def build_graph(cfg: RunConfig, n_nodes: int) -> SensorGraph:
             raise ValidationError(
                 f"{data.distances_csv}: distance matrix is {distances.shape[0]}x"
                 f"{distances.shape[1]} but the series has {n_nodes} sensors")
-        return build_adjacency_gaussian(distances, data.gamma, data.delta)
+        try:
+            return build_adjacency_gaussian(distances, data.gamma, data.delta)
+        except ValidationError as exc:
+            raise ValidationError(f"{data.distances_csv}: {exc}") from None
     return load_edges_csv(data.edges_csv, n_nodes)
 
 
@@ -158,7 +161,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ckpt_path = _default_checkpoint(cfg)
     save_params(ckpt_path, params.named_parameters())
     hist_path = os.path.join(out, "history.csv")
-    with open(hist_path, "w") as f:
+    with atomic_write(hist_path) as f:
         f.write("epoch,train_loss,val_mae,lr\n")
         for row in history:
             f.write(f"{row['epoch']},{row['train_loss']:.17g},"

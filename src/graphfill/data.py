@@ -12,7 +12,9 @@ conservation: new_mask AND new_eval = 0 and new_mask OR moved = old_mask.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -215,8 +217,26 @@ def cell_error(path, line, row, parse) -> ValidationError:
             return ValidationError(f"{path}: row {line}, column {col}: {exc}")
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """A text file to write that replaces `path` only once it is complete.
+
+    It is written under a temporary name in the same directory and moved
+    over `path` with os.replace on success. On failure it is removed, and
+    `path` keeps its old contents.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_grid_csv(path, arr, header=None, fmt="%.17g"):
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         if header is not None:
             writer.writerow(header)

@@ -150,10 +150,14 @@ def load_edges_csv(path, n_nodes: int) -> SensorGraph:
             if not row:
                 continue
             if len(row) != 3:
-                raise ValidationError(f"edge file {path}: malformed row {row}")
+                raise ValidationError(
+                    f"{path}: row {reader.line_num} has {len(row)} cells, expected 3")
             try:
                 edges.append((int(row[0]), int(row[1]), float(row[2])))
             except ValueError:
                 raise cell_error(path, reader.line_num, row, lambda cell, col: (
                     int(cell) if col < 3 else float(cell))) from None
-    return SensorGraph(n_nodes, edges)
+    try:
+        return SensorGraph(n_nodes, edges)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -20,13 +20,15 @@ to value predictions; training supervises all of them, imputation uses
 the last.
 
 All message sets of one branch and layer are processed as one batch of
-flat index arrays (position p = τ·N + i), a `MessageSets` record. Every
-set reads one key group: a node's observed steps (masked phase), all W of
-its steps (open phase), or, in spin-h, a node's K hubs. `message_sets`
-builds any branch from its key groups and its per-set (group, query)
-arrays with `repeat`/`cumsum`, no loop over nodes or edges: spin self
-sets run node-major then τ, cross sets edge-major then τ. Message sets
-are materialized only for allowed (sender, receiver) pairs — masking is
+flat index arrays (position p = τ·N + i), a `MessageSets` record, by one
+tape op, `tensor.attention_sets`: the message MLP, the per-set softmax
+and the sum of contexts onto query rows. Every set reads one key
+group: a node's observed steps (masked phase), all W of its steps (open
+phase), or, in spin-h, a node's K hubs. `message_sets` builds any branch
+from its key groups and its per-set (group, query row) arrays with
+`repeat`/`cumsum`, no loop over nodes or edges: spin self sets run
+node-major then τ, cross sets edge-major then τ. Message sets are
+materialized only for allowed (sender, receiver) pairs — masking is
 structural, never an additive penalty — so hidden values are unread by
 construction, and a masked-phase forward is bit-for-bit independent of
 them.
@@ -54,29 +56,27 @@ N_MASKED_LAYERS = 3  # eta, for both variants
 class MessageSets:
     """Flat index arrays of one attention branch's message sets.
 
-    `key` and `query` run over every (key, query) pair of every set;
-    `starts` marks each set's first pair and `out` the row of an
-    `n_out`-row result that its context lands on. Cross-branch sets share
-    out rows across edges with the same destination, so scattering
-    contexts already performs the neighbor sum, in ascending-source order.
+    `key` runs over every key of every set, and `starts` marks each set's
+    first key. Set s belongs to query row `query[s]`, where its context
+    lands. Cross-branch sets of edges with the same destination share a
+    query row, so summing contexts onto it performs the neighbor sum, in
+    ascending-source order.
     """
     key: np.ndarray
-    query: np.ndarray
     starts: np.ndarray
-    out: np.ndarray
-    n_out: int
+    query: np.ndarray
 
     @property
     def n_pairs(self) -> int:
         return len(self.key)
 
 
-def message_sets(members, offsets, group, query, n_out) -> MessageSets:
+def message_sets(members, offsets, group, query) -> MessageSets:
     """Sets that each read one key group, in the given set order.
 
     Key group g holds members[offsets[g]:offsets[g + 1]]; set s reads
-    group[s], and its query index is also its out row, query[s]. Sets whose
-    group is empty are dropped (their contexts stay zero).
+    group[s] for the query row query[s]. Sets whose group is empty are
+    dropped (their contexts stay zero).
     """
     sizes = np.diff(offsets)[group]
     keep = sizes > 0
@@ -85,8 +85,7 @@ def message_sets(members, offsets, group, query, n_out) -> MessageSets:
     starts = ends - sizes
     n_pairs = int(ends[-1]) if len(ends) else 0
     key = members[np.repeat(offsets[group] - starts, sizes) + np.arange(n_pairs)]
-    return MessageSets(key=key, query=np.repeat(query, sizes), starts=starts,
-                       out=query, n_out=n_out)
+    return MessageSets(key=key, starts=starts, query=query)
 
 
 def node_steps(mask):
@@ -122,8 +121,8 @@ def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
     keys = node_steps(input_mask if masked else np.ones((w, n), dtype=bool))
     nodes = np.arange(n)
-    return (message_sets(*keys, *step_sets(nodes, nodes, w, n), w * n),
-            message_sets(*keys, *step_sets(graph.src, graph.dst, w, n), w * n))
+    return (message_sets(*keys, *step_sets(nodes, nodes, w, n)),
+            message_sets(*keys, *step_sets(graph.src, graph.dst, w, n)))
 
 
 def score_vector(d, rng) -> T.Value:
@@ -211,38 +210,36 @@ class ImputationOutput:
         return self.readouts[-1].data
 
 
-def attend(key_src, query_src, key_idx, query_idx, starts, out_pos, n_out,
-           msg_mlp, score, collect=False):
+def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score,
+           collect=False):
     """One attention branch over indexed message sets.
 
-    Pair p's message is msg_mlp([key_src[key_idx[p]], query_src[query_idx[p]]]);
-    per-set softmax weights (sets delimited by `starts`, scored by `score`)
-    combine messages into contexts, which are scatter-added onto out_pos
-    rows of an n_out-row result. key_src and query_src may live in
-    different index spaces (e.g. hub rows vs position rows).
+    Set s holds the keys key_idx[starts[s]:starts[s+1]], rows of key_src,
+    and belongs to row query[s] of query_src. A pair's message is
+    msg_mlp([key row, query row]); per-set softmax weights (scored by
+    `score`) combine messages into contexts, which are summed onto their
+    query rows: the result has query_src's row count. key_src and
+    query_src may live in different index spaces (e.g. hub rows vs
+    position rows). The branch is one tape op, `tensor.attention_sets`.
 
-    The message MLP's first layer is linear over the concatenation, so
-    concat([k, q]) @ W0 is evaluated as k @ W0[:dk] + q @ W0[dk:]: the two
-    products are computed once per source row instead of once per pair.
-    The rest of the branch is one fused op, `tensor.attention_sets`.
+    Arguments after the sources are keyword-only because perfbench's
+    tracer attributes a branch by the `msg_mlp` and `key_idx` it reads
+    from the call's keywords.
     """
     if len(msg_mlp.weights) != 2:
         raise ShapeError(
             f"message MLP must have widths [in, hidden, out], got {msg_mlp.widths}")
     if len(key_idx) == 0:
-        return T.Value(np.zeros((n_out, msg_mlp.widths[-1]))), None
+        return T.Value(np.zeros((len(query_src.data), msg_mlp.widths[-1]))), None
     dk = key_src.data.shape[-1]
     dq = query_src.data.shape[-1]
     if msg_mlp.widths[0] != dk + dq:
         raise ShapeError(
             f"message MLP expects width {msg_mlp.widths[0]}, sources have "
             f"{dk} + {dq}")
-    from_key = T.matmul(key_src, T.slice_rows(msg_mlp.weights[0], 0, dk))
-    from_query = T.matmul(query_src, T.slice_rows(msg_mlp.weights[0], dk, dk + dq))
-    ctx, alpha = T.attention_sets(from_key, from_query, key_idx, query_idx,
-                                  starts, msg_mlp.weights[1], msg_mlp.biases[0],
-                                  msg_mlp.biases[1], score)
-    out = T.scatter_rows(ctx, out_pos, n_out)
+    out, alpha = T.attention_sets(key_src, query_src, key_idx, starts, query,
+                                  msg_mlp.weights[0], msg_mlp.biases[0],
+                                  msg_mlp.weights[1], msg_mlp.biases[1], score)
     audit = (alpha.copy(), starts.copy()) if collect else None
     return out, audit
 
@@ -283,10 +280,10 @@ def position_update(blk, key_src, h, self_sets, cross_sets, collect=False):
     """
     parts, pairs, audits = [h], {}, {}
     for branch, sets in (("self", self_sets), ("cross", cross_sets)):
-        ctx, audits[branch] = attend(key_src, h, sets.key, sets.query,
-                                     sets.starts, sets.out, sets.n_out,
-                                     blk[f"{branch}_msg"], blk[f"{branch}_score"],
-                                     collect)
+        ctx, audits[branch] = attend(key_src, h, key_idx=sets.key,
+                                     starts=sets.starts, query=sets.query,
+                                     msg_mlp=blk[f"{branch}_msg"],
+                                     score=blk[f"{branch}_score"], collect=collect)
         parts.append(ctx)
         pairs[branch] = sets.n_pairs
     return blk["update"](T.concat(parts, axis=-1)), pairs, audits

@@ -60,15 +60,14 @@ class HubPlan:
 
         def hub_sets(mask):
             return message_sets(*node_steps(mask), np.repeat(np.arange(n), n_hubs),
-                                np.arange(n_rows), n_rows)
+                                np.arange(n_rows))
 
         self.masked_hub = hub_sets(input_mask)
         self.open_hub = hub_sets(np.ones((w, n), dtype=bool)) if with_open else None
         hubs = np.arange(n_rows), np.arange(n + 1) * n_hubs
         self.read_self = message_sets(*hubs, np.tile(np.arange(n), w),
-                                      np.arange(w * n), w * n)
-        self.read_cross = message_sets(*hubs, *step_sets(graph.src, graph.dst, w, n),
-                                       w * n)
+                                      np.arange(w * n))
+        self.read_cross = message_sets(*hubs, *step_sets(graph.src, graph.dst, w, n))
 
 
 class SpinHParameters(_Parameters):
@@ -122,9 +121,9 @@ def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
     def layer(blk, h, masked):
         nonlocal z
         hub = plan.masked_hub if masked else plan.open_hub
-        c_hub, a_hub = attend(h, z, hub.key, hub.query, hub.starts, hub.out,
-                              hub.n_out, blk["hub_msg"], blk["hub_score"],
-                              collect_alphas)
+        c_hub, a_hub = attend(h, z, key_idx=hub.key, starts=hub.starts,
+                              query=hub.query, msg_mlp=blk["hub_msg"],
+                              score=blk["hub_score"], collect=collect_alphas)
         z = blk["hub_fuse"](T.concat([z, c_hub], axis=-1))
         h, pairs, audits = position_update(blk, z, h, plan.read_self,
                                            plan.read_cross, collect_alphas)

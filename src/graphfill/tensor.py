@@ -6,12 +6,13 @@ to input gradients; backward() replays the records in reverse order. With
 no active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: add, sub, mul, div, neg, vabs, relu,
-matmul against a 2-D weight, concat, reshape, slice_rows, vsum/vmean,
-gather_rows (repeated rows sum their gradients), scatter_rows (a
-scatter-add), and attention_sets, one fused op for a whole attention
-branch (pair messages, per-set softmax and weighted sum). That is enough
-for MLPs, softmax attention over variable-size message sets, and training.
+The op set is deliberately small: add, sub, div, vabs, relu, matmul
+against a 2-D weight, concat, reshape, vsum/vmean, gather_rows (repeated
+rows sum their gradients), scatter_rows (a scatter-add), and
+attention_sets, one fused op for a whole attention branch (the message
+MLP over [key, query] pairs, per-set softmax and weighted sum, contexts
+summed onto query rows). That is enough for MLPs, softmax attention over
+variable-size message sets, and training.
 
 Every operation result must be finite; NaN or Inf raises immediately
 rather than propagating. Leaves are exempt so that deliberately poisoned
@@ -121,30 +122,6 @@ class Value:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
@@ -206,17 +183,6 @@ def sub(a, b):
     return _make_output(data, (a, b), backfn)
 
 
-def mul(a, b):
-    a, b = as_value(a), as_value(b)
-    data = a.data * b.data
-
-    def backfn(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
-
-    return _make_output(data, (a, b), backfn)
-
-
 def div(a, b):
     a, b = as_value(a), as_value(b)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -228,11 +194,6 @@ def div(a, b):
         return ga, gb
 
     return _make_output(data, (a, b), backfn)
-
-
-def neg(a):
-    a = as_value(a)
-    return _make_output(-a.data, (a,), lambda g: (-g,))
 
 
 def vabs(a):
@@ -289,19 +250,6 @@ def reshape(a, shape):
     data = a.data.reshape(shape)
     orig = a.data.shape
     return _make_output(data, (a,), lambda g: (g.reshape(orig),))
-
-
-def slice_rows(a, start, stop):
-    """Rows start:stop of a (axis 0); backward zero-pads the complement."""
-    a = as_value(a)
-    data = a.data[start:stop].copy()
-
-    def backfn(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        return (ga,)
-
-    return _make_output(data, (a,), backfn)
 
 
 def vsum(a, axis=None, keepdims=False):
@@ -363,48 +311,55 @@ def scatter_rows(rows, idx, n_rows):
 LOGIT_SPAN = 60.0
 
 
-def attention_sets(from_key, from_query, key_idx, query_idx, starts,
-                   w_out, b_in, b_out, score):
-    """Softmax attention over contiguous message sets, as one tape op.
+def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
+                   w_out, b_out, score):
+    """One attention branch over contiguous message sets, as one tape op.
 
-    Pair p carries the message of a two-layer MLP whose first layer was
-    already applied per source row,
+    Set s covers pairs starts[s]:starts[s+1], which must be non-empty,
+    and belongs to query row query[s]. Pair p of set s carries the message
+    of a two-layer MLP over [key row, query row],
 
-        r[p] = relu(from_key[key_idx[p]] + from_query[query_idx[p]] + b_in)
-               @ w_out + b_out,
+        r[p] = relu(key_src[key_idx[p]] @ w_in[:dk]
+                    + query_src[query[s]] @ w_in[dk:] + b_in) @ w_out + b_out,
 
-    and the logit r[p] @ score. Set s covers pairs starts[s]:starts[s+1],
-    which must share one query and be non-empty. Its weights are the
-    softmax of the set's logits, shifted by their max and clamped at
-    -LOGIT_SPAN; its context is sum_p alpha[p] * r[p].
+    with dk the key width, and the logit r[p] @ score. The set's weights
+    are the softmax of its logits, shifted by their max and clamped at
+    -LOGIT_SPAN; its context is sum_p alpha[p] * r[p], added onto row
+    query[s] of the result. Sets sharing a query row (spin's cross sets
+    of every in-edge) thus sum in set order.
 
-    The output layer is folded past the softmax. A set's weights sum to 1,
-    so its context is (sum_p alpha[p] * hid[p]) @ w_out + b_out, and the
-    logit is hid[p] @ (w_out @ score) plus the per-set constant
-    b_out @ score, which the max shift cancels. No (P, d) message array
-    or P-row GEMM is formed, and the backward scatters query gradients
-    once per set instead of once per pair. Pair arrays are kept
-    feature-major, (hidden, P), because numpy reduces contiguous
-    segments along the last axis several times faster than along the
-    first.
+    The first layer is linear over the concatenation, so its two halves
+    run once per source row, not once per pair. The output layer is
+    folded past the softmax: a set's weights sum to 1, so its context is
+    (sum_p alpha[p] * hid[p]) @ w_out + b_out, and the logit is
+    hid[p] @ (w_out @ score) plus the per-set constant b_out @ score,
+    which the max shift cancels. No (P, d) message array or P-row GEMM
+    is formed, and the backward scatters query gradients once per set
+    instead of once per pair. Pair arrays are kept feature-major,
+    (hidden, P), because numpy reduces contiguous segments along the last
+    axis several times faster than along the first.
 
-    Returns (contexts, alpha): a (S, d) Value and the (P, 1) weights.
+    Returns (out, alpha): a Value with query_src's row count and the
+    (P, 1) weights.
     """
-    from_key, from_query = as_value(from_key), as_value(from_query)
-    w_out, b_in = as_value(w_out), as_value(b_in)
+    key_src, query_src = as_value(key_src), as_value(query_src)
+    w_in, b_in, w_out = as_value(w_in), as_value(b_in), as_value(w_out)
     b_out, score = as_value(b_out), as_value(score)
     key_idx = np.asarray(key_idx, dtype=np.intp)
-    query_idx = np.asarray(query_idx, dtype=np.intp)
     starts = np.asarray(starts, dtype=np.intp)
+    query = np.asarray(query, dtype=np.intp)
     counts = np.diff(starts, append=len(key_idx))
     if len(starts) == 0 or starts[0] != 0 or np.any(counts < 1):
         raise EmptySetError("message sets must be non-empty and cover every pair")
-    set_query = query_idx[starts]
-    if not np.array_equal(np.repeat(set_query, counts), query_idx):
-        raise ShapeError("every pair of a message set must share its query")
 
-    hid = np.take(from_key.data.T, key_idx, axis=1)
-    hid += np.repeat((from_query.data[set_query] + b_in.data).T, counts, axis=1)
+    dk = key_src.data.shape[-1]
+    w_key, w_query = w_in.data[:dk], w_in.data[dk:]
+    from_key = key_src.data @ w_key
+    _check_finite(from_key)
+    from_query = query_src.data @ w_query
+    _check_finite(from_query)
+    hid = np.take(from_key.T, key_idx, axis=1)
+    hid += np.repeat((from_query[query] + b_in.data).T, counts, axis=1)
     np.maximum(hid, 0.0, out=hid)
     v = np.dot(w_out.data, score.data[:, 0])
     logit = np.dot(v, hid)
@@ -414,10 +369,12 @@ def attention_sets(from_key, from_query, key_idx, query_idx, starts,
     e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
     alpha = e / np.repeat(np.add.reduceat(e, starts), counts)
     pooled = np.add.reduceat(hid * alpha, starts, axis=1)
-    data = pooled.T @ w_out.data
-    data += b_out.data
+    ctx = pooled.T @ w_out.data
+    ctx += b_out.data
+    data = _scatter_add(ctx, query, query_src.data.shape[0])
 
     def backfn(g):
+        g = g[query]
         g_hid = np.repeat(w_out.data @ g.T, counts, axis=1)
         g_alpha = np.einsum("hp,hp->p", g_hid, hid)
         g_logit = g_alpha - np.repeat(np.add.reduceat(alpha * g_alpha, starts),
@@ -431,12 +388,16 @@ def attention_sets(from_key, from_query, key_idx, query_idx, starts,
         g_w_out = pooled @ g
         g_w_out += np.outer(g_v, score.data[:, 0])
         g_fq = _scatter_add(np.add.reduceat(g_hid, starts, axis=1).T,
-                            set_query, from_query.data.shape[0])
-        g_fk = _scatter_add(g_hid.T, key_idx, from_key.data.shape[0])
-        return (g_fk, g_fq, g_w_out, g_hid.sum(axis=1), g.sum(axis=0),
-                np.dot(w_out.data.T, g_v)[:, None])
+                            query, query_src.data.shape[0])
+        g_fk = _scatter_add(g_hid.T, key_idx, key_src.data.shape[0])
+        g_w_in = np.concatenate([key_src.data.T @ g_fk, query_src.data.T @ g_fq])
+        return (g_fq @ w_query.T, g_fk @ w_key.T, g_w_in, g_hid.sum(axis=1),
+                g_w_out, g.sum(axis=0), np.dot(w_out.data.T, g_v)[:, None])
 
-    out = _make_output(data, (from_key, from_query, w_out, b_in, b_out, score),
+    # query_src comes first: where it is also key_src (spin), its gradient
+    # adds the query part before the key part. The order is part of the
+    # result: the other one changes trained parameters in the last bits.
+    out = _make_output(data, (query_src, key_src, w_in, b_in, w_out, b_out, score),
                        backfn)
     return out, alpha[:, None]
 

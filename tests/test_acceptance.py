@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import graphfill.tensor as T
+import unfused_ops as U
 from graphfill.cli import main
 from graphfill.data import (Dataset, SpatioTemporalWindow,
                             inject_block_missing, inject_point_missing,
@@ -31,7 +32,7 @@ from test_spin_h import random_case as random_hub_case
 def _projection_loss_value(out, projections):
     acc = None
     for readout, proj in zip(out.readouts, projections):
-        term = T.vsum(T.mul(readout, T.Value(proj)))
+        term = T.vsum(U.mul(readout, T.Value(proj)))
         acc = term if acc is None else T.add(acc, term)
     return acc
 

@@ -57,3 +57,8 @@ def test_benchmark_prints_a_correct_result(workload, trace):
         assert math.isfinite(metrics[name]["value"]), name
     if trace:
         assert not [l for l in lines if l.startswith("absent:")], proc.stdout
+        # a branch the tracer cannot attribute leaves its pair count at zero
+        variant = "spin_h." if workload.startswith("spinh") else "spin."
+        pairs = [name for name in PER_LAYER if name.startswith(variant + "pairs.")]
+        assert pairs and all(metrics[name]["value"] > 0 for name in pairs), \
+            {name: metrics[name]["value"] for name in pairs}

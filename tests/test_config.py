@@ -147,6 +147,18 @@ BAD_INPUTS = {
         break_line("values", 5, "0.1,x,0.2"), "values", "row 5, column 2"),
     "non-integer edge id": (
         break_line("edges", 3, "1.5,2,0.5"), "edges", "row 3, column 1"),
+    "edge to a missing node": (
+        break_line("edges", 3, "1,7,0.5"), "edges", "(1,7) references a missing node"),
+    "self-loop edge": (break_line("edges", 3, "2,2,0.5"), "edges", "self-loop"),
+    "non-positive edge weight": (
+        break_line("edges", 3, "1,2,0"), "edges", "non-positive weight"),
+    "duplicate edge": (break_line("edges", 3, "0,1,0.5"), "edges", "duplicate"),
+    "two-cell edge row": (
+        break_line("edges", 3, "2,1"), "edges", "row 3 has 2 cells"),
+    "nonzero distance diagonal": (
+        break_line("distances", 2, "1,5,1"), "distances", "diagonal"),
+    "negative distance": (
+        break_line("distances", 1, "0,-1,2"), "distances", "non-negative"),
     "distance matrix not N x N": (
         lambda paths, doc: paths["distances"].write_text("0,1\n1,0\n2,1\n"),
         "distances", "3x2"),

@@ -269,3 +269,22 @@ def test_grid_csv_round_trip_exact(tmp_path):
     save_grid_csv(path, arr, header=["x", "y", "z"])
     back = load_dataset(path)
     assert np.array_equal(back.values, arr)
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cell cannot be written")
+
+    path = os.path.join(tmp_path, "grid.csv")
+    save_grid_csv(path, np.array([[1.0, 2.0]]), header=["a", "b"])
+    with open(path, "rb") as f:
+        old = f.read()
+    assert old == b"a,b\r\n1,2\r\n"
+    # the header and first row are written before the second row raises
+    rows = np.array([[3.0, 4.0], [Unprintable(), 5.0]], dtype=object)
+    with pytest.raises(RuntimeError):
+        save_grid_csv(path, rows, header=["a", "b"])
+    with open(path, "rb") as f:
+        assert f.read() == old
+    assert os.listdir(tmp_path) == ["grid.csv"]

@@ -299,24 +299,23 @@ def test_window_graph_shape_mismatch():
 
 def naive_sets(sets):
     """Index arrays of (keys, query) sets built one set at a time."""
-    key, query, starts, out = [], [], [], []
+    key, starts, query = [], [], []
     for keys, q in sets:
         if not keys:
             continue  # an empty set is absent
         starts.append(len(key))
         key += keys
-        query += [q] * len(keys)
-        out.append(q)
-    return [np.array(a, dtype=np.intp) for a in (key, query, starts, out)]
+        query.append(q)
+    return [np.array(a, dtype=np.intp) for a in (key, starts, query)]
 
 
-def assert_sets_equal(got, sets, n_out):
+def assert_sets_equal(got, sets):
     want = naive_sets(sets)
-    for name, a, b in zip(("key", "query", "starts", "out"),
-                          (got.key, got.query, got.starts, got.out), want):
+    for name, a, b in zip(("key", "starts", "query"),
+                          (got.key, got.starts, got.query), want):
         assert a.dtype == np.intp, name
         assert np.array_equal(a, b), name
-    assert got.n_out == n_out and got.n_pairs == len(want[0])
+    assert got.n_pairs == len(want[0])
 
 
 def test_plan_masked_sets_only_cover_observed_keys():
@@ -341,23 +340,20 @@ def test_plan_masked_sets_only_cover_observed_keys():
                      for i in range(n)]
             self_sets, cross_sets = build_attention_plan(mask, graph, masked)
             assert_sets_equal(self_sets, [([s * n + i for s in steps[i]], t * n + i)
-                                          for i in range(n) for t in range(w)], w * n)
+                                          for i in range(n) for t in range(w)])
             assert_sets_equal(cross_sets, [([s * n + j for s in steps[j]], t * n + i)
-                                           for j, i in edges for t in range(w)],
-                              w * n)
+                                           for j, i in edges for t in range(w)])
             assert_sets_equal(plan.masked_hub if masked else plan.open_hub,
                               [([s * n + i for s in steps[i]], i * n_hubs + k)
-                               for i in range(n) for k in range(n_hubs)],
-                              n * n_hubs)
+                               for i in range(n) for k in range(n_hubs)])
             if masked:
-                for k, q in zip(self_sets.key, self_sets.query):
+                counts = np.diff(self_sets.starts, append=self_sets.n_pairs)
+                for k, q in zip(self_sets.key, np.repeat(self_sets.query, counts)):
                     assert k % n == q % n           # same node
                     assert mask[k // n, k % n] == 1  # key step observed
                 for k in cross_sets.key:
                     assert mask[k // n, k % n] == 1
         hubs = [[j * n_hubs + k for k in range(n_hubs)] for j in range(n)]
-        assert_sets_equal(plan.read_self, [(hubs[p % n], p) for p in range(w * n)],
-                          w * n)
+        assert_sets_equal(plan.read_self, [(hubs[p % n], p) for p in range(w * n)])
         assert_sets_equal(plan.read_cross, [(hubs[j], t * n + i)
-                                            for j, i in edges for t in range(w)],
-                          w * n)
+                                            for j, i in edges for t in range(w)])

@@ -48,7 +48,7 @@ def test_arithmetic_chain_grads():
     b = rng.normal(size=(4, 3)) + 3.0
 
     def fv(a, b):
-        return T.vsum(T.add(T.mul(a, b), T.div(T.sub(a, b), b)))
+        return T.vsum(T.add(U.mul(a, b), T.div(T.sub(a, b), b)))
 
     def ff(a, b):
         return float(np.sum(a * b + (a - b) / b))
@@ -71,23 +71,13 @@ def test_unary_op_grads():
     check_grads(fv, ff, [a])
 
 
-def test_neg_and_operator_overloads():
-    a = T.Value(np.array([1.0, -2.0]), requires_grad=True)
-    b = T.Value(np.array([3.0, 4.0]), requires_grad=True)
-    with T.Tape():
-        out = T.vsum((-a) * b + a / b - b)
-        grads = T.backward(out)
-    assert np.allclose(grads[a], -b.data + 1.0 / b.data)
-    assert np.allclose(grads[b], -a.data - a.data / b.data ** 2 - 1.0)
-
-
 def test_matmul_grads():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(6, 4))
     w = rng.normal(size=(4, 3))
 
     def fv(a, w):
-        return T.vsum(T.mul(T.matmul(a, w), T.matmul(a, w)))
+        return T.vsum(U.mul(T.matmul(a, w), T.matmul(a, w)))
 
     def ff(a, w):
         return float(np.sum((a @ w) ** 2))
@@ -116,8 +106,8 @@ def test_concat_slice_reshape_grads():
 
     def fv(a, b):
         cat = T.concat([a, b], axis=-1)
-        sl = T.slice_rows(cat, 1, 3)
-        return T.vsum(T.mul(T.reshape(sl, (10,)), T.reshape(sl, (10,))))
+        sl = U.slice_rows(cat, 1, 3)
+        return T.vsum(U.mul(T.reshape(sl, (10,)), T.reshape(sl, (10,))))
 
     def ff(a, b):
         cat = np.concatenate([a, b], axis=-1)
@@ -132,7 +122,7 @@ def test_sum_mean_axes_grads():
 
     def fv(a):
         col = T.vsum(a, axis=0, keepdims=True)         # (1, 4)
-        return T.add(T.vmean(T.mul(col, col)), T.vsum(a))
+        return T.add(T.vmean(U.mul(col, col)), T.vsum(a))
 
     def ff(a):
         col = a.sum(axis=0, keepdims=True)
@@ -151,7 +141,7 @@ def test_gather_scatter_grads():
         g = T.gather_rows(a, idx)
         s = T.scatter_rows(g, np.array([0, 0, 1, 2, 2]), 3)
         u = T.gather_rows(a, uniq)
-        return T.add(T.vsum(T.mul(s, s)), T.vsum(u))
+        return T.add(T.vsum(U.mul(s, s)), T.vsum(u))
 
     def ff(a):
         g = a[idx]
@@ -168,7 +158,7 @@ def test_gather_scatter_grads():
         leaf = T.Value(a, requires_grad=True)
         with T.Tape():
             picked = T.gather_rows(leaf, rows)
-            grad = T.backward(T.vsum(T.mul(picked, upstream)))[leaf]
+            grad = T.backward(T.vsum(U.mul(picked, upstream)))[leaf]
         want = np.zeros_like(a)
         if repeats:
             np.add.at(want, rows, upstream)
@@ -185,7 +175,7 @@ def test_segment_sum_and_repeat_grads():
     def fv(a):
         seg = U.segment_sum(a, starts)                   # (3, 2)
         rep = U.repeat_rows(seg, np.array([2, 3, 1]))    # back to (6, 2)
-        return T.vsum(T.mul(rep, a))
+        return T.vsum(U.mul(rep, a))
 
     def ff(a):
         seg = np.stack([a[0:2].sum(0), a[2:5].sum(0), a[5:6].sum(0)])
@@ -203,7 +193,7 @@ def test_segment_weighted_sum_grads():
 
     def fv(alpha, rows):
         out = U.segment_weighted_sum(alpha, rows, starts)
-        return T.vsum(T.mul(out, out))
+        return T.vsum(U.mul(out, out))
 
     def ff(alpha, rows):
         prod = alpha * rows
@@ -225,13 +215,13 @@ def test_pair_messages_matches_unfused_composition():
 
     def fv(fk, fq, w, b_in, b_out):
         out = U.pair_messages(fk, fq, key_idx, query_idx, w, b_in, b_out)
-        return T.vsum(T.mul(out, out))
+        return T.vsum(U.mul(out, out))
 
     def fv_unfused(fk, fq, w, b_in, b_out):
         pre = T.add(T.add(T.gather_rows(fk, key_idx),
                           T.gather_rows(fq, query_idx)), b_in)
         out = T.add(T.matmul(T.relu(pre), w), b_out)
-        return T.vsum(T.mul(out, out))
+        return T.vsum(U.mul(out, out))
 
     def ff(fk, fq, w, b_in, b_out):
         pre = fk[key_idx] + fq[query_idx] + b_in
@@ -261,7 +251,7 @@ def test_softmax_rows_sum_to_one_and_grads():
 
     def fv(a):
         y = U.softmax_stable(a, axis=-1)
-        return T.vsum(T.mul(y, y))
+        return T.vsum(U.mul(y, y))
 
     def ff(a):
         e = np.exp(a - a.max(axis=-1, keepdims=True))
@@ -282,7 +272,7 @@ def test_segment_softmax_partition_and_grads():
 
     def fv(logits):
         alpha = U.segment_softmax(logits, starts)
-        return T.vsum(T.mul(alpha, alpha))
+        return T.vsum(U.mul(alpha, alpha))
 
     def ff(logits):
         out = 0.0
@@ -308,7 +298,7 @@ def test_segment_softmax_survives_extreme_logits():
 def test_value_reused_twice_accumulates_gradient():
     x = T.Value(np.array([3.0]), requires_grad=True)
     with T.Tape():
-        out = T.vsum(T.mul(x, x))
+        out = T.vsum(U.mul(x, x))
         grads = T.backward(out)
     assert np.allclose(grads[x], 2.0 * x.data)
 
@@ -318,7 +308,7 @@ def test_backward_requires_tape_and_consumes_it():
     with pytest.raises(TapeError):
         T.backward(T.vsum(x))  # no tape recorded this value
     with T.Tape():
-        out = T.vsum(T.mul(x, x))
+        out = T.vsum(U.mul(x, x))
         T.backward(out)
         with pytest.raises(TapeError):
             T.backward(out)  # tape already consumed
@@ -327,7 +317,7 @@ def test_backward_requires_tape_and_consumes_it():
 def test_backward_rejects_nonscalar_root():
     x = T.Value(np.ones(3), requires_grad=True)
     with T.Tape():
-        y = T.mul(x, x)
+        y = U.mul(x, x)
         with pytest.raises(TapeError):
             T.backward(y)
 
@@ -343,7 +333,7 @@ def test_no_grad_records_nothing():
     x = T.Value(np.ones(2), requires_grad=True)
     with T.Tape() as tape:
         with T.no_grad():
-            y = T.mul(x, x)
+            y = U.mul(x, x)
         assert len(tape.records) == 0
         assert y.tape is None
 

@@ -1,10 +1,12 @@
-"""The unfused attention ops, kept as the reference for the fused one.
+"""Ops that only the tests use, and the unfused attention chain.
 
 `graphfill.tensor.attention_sets` computes one attention branch as a
 single tape op. The chain it replaced, built from the small ops below
-(per-pair messages, score matmul, per-set softmax, weighted per-set sum),
-is the reference the tests compare it against; `unfused_attention` wires
-that chain up exactly as the package did before the fusion.
+(row slices of the first-layer weight, per-pair messages, score matmul,
+per-set softmax, weighted per-set sum, scatter onto query rows), is the
+reference the tests compare it against; `unfused_attention` wires that
+chain up exactly as the package did before the fusion. `mul` is the
+elementwise product, which the package itself does not need.
 """
 
 from __future__ import annotations
@@ -13,6 +15,30 @@ import numpy as np
 
 import graphfill.tensor as T
 from graphfill.errors import EmptySetError
+
+
+def mul(a, b):
+    a, b = T.as_value(a), T.as_value(b)
+    data = a.data * b.data
+
+    def backfn(g):
+        return (T._unbroadcast(g * b.data, a.data.shape),
+                T._unbroadcast(g * a.data, b.data.shape))
+
+    return T._make_output(data, (a, b), backfn)
+
+
+def slice_rows(a, start, stop):
+    """Rows start:stop of a (axis 0); backward zero-pads the complement."""
+    a = T.as_value(a)
+    data = a.data[start:stop].copy()
+
+    def backfn(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return T._make_output(data, (a,), backfn)
 
 
 def _segment_starts_to_counts(starts, total):
@@ -165,10 +191,16 @@ def segment_softmax(logits, starts):
     return T.div(e, repeat_rows(denom, counts))
 
 
-def unfused_attention(from_key, from_query, key_idx, query_idx, starts,
-                      w_out, b_in, b_out, score):
+def unfused_attention(key_src, query_src, key_idx, starts, query, w_in, b_in,
+                      w_out, b_out, score):
     """The chain `attention_sets` replaces, with its signature and results."""
-    r = pair_messages(from_key, from_query, key_idx, query_idx,
+    key_src, query_src, w_in = (T.as_value(v) for v in (key_src, query_src, w_in))
+    dk = key_src.data.shape[-1]
+    from_key = T.matmul(key_src, slice_rows(w_in, 0, dk))
+    from_query = T.matmul(query_src, slice_rows(w_in, dk, w_in.data.shape[0]))
+    counts = _segment_starts_to_counts(starts, len(key_idx))
+    r = pair_messages(from_key, from_query, key_idx, np.repeat(query, counts),
                       w_out, b_in, b_out)
     alpha = segment_softmax(T.matmul(r, score), starts)
-    return segment_weighted_sum(alpha, r, starts), alpha.data
+    ctx = segment_weighted_sum(alpha, r, starts)
+    return T.scatter_rows(ctx, query, query_src.data.shape[0]), alpha.data
