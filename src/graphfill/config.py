@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import inspect
 import json
+import operator
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
-from .data import DEFAULT_SPLIT
+from .data import DEFAULT_SPLIT, inject_block_missing, inject_point_missing
 from .encoding import DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_HIDDEN, DEFAULT_PERIODS
 from .errors import ValidationError
 from .spin import D_H, N_LAYERS, N_MASKED_LAYERS, SpinParameters
@@ -43,12 +44,6 @@ from .spin_h import D_Z, N_HUBS, N_LAYERS_H, SpinHParameters
 from .synth import synth_series
 
 VARIANTS = ("spin", "spin-h")
-INJECT_PARAMS = {  # policy: the params it accepts
-    "point": ("rate",),
-    "block": ("point_rate", "failure_prob", "len_min", "len_max"),
-    "sweep": ("p",),
-    "none": ()}
-POLICIES = tuple(INJECT_PARAMS)
 
 
 def _is_number(v):
@@ -68,17 +63,21 @@ KINDS = {
                 lambda v: tuple(map(float, v))),
     "object": ("an object", lambda v: isinstance(v, dict), dict),
 }
+BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+          "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
 
-def opt(key, kind, default=MISSING, ge=None, gt=None, choices=None):
+def opt(key, kind, default=MISSING, ge=None, gt=None, le=None, lt=None,
+        choices=None):
     """Declare a section field.
 
     key is its JSON key (None keeps it out of the document: code fills
-    it); kind is a KINDS name or a section class; ge/gt bound a number or
-    every entry of a list; choices lists the allowed values. A field
-    whose default is None may be given as null, meaning unset.
+    it); kind is a KINDS name or a section class; ge/gt/le/lt bound a
+    number or every entry of a list; choices lists the allowed values. A
+    field whose default is None may be given as null, meaning unset.
     """
-    meta = {"key": key, "kind": kind, "ge": ge, "gt": gt, "choices": choices}
+    meta = {"key": key, "kind": kind, "ge": ge, "gt": gt, "le": le, "lt": lt,
+            "choices": choices}
     if default is MISSING and is_dataclass(kind):
         return field(default_factory=kind, metadata=meta)
     if isinstance(default, dict):
@@ -109,10 +108,10 @@ def _value(f, raw, where):
         raise ValidationError(f"'{where}' must be {what}, got {raw!r}")
     value = convert(raw)
     entries = value if kind == "numbers" else (value,)
-    if meta["ge"] is not None and not all(x >= meta["ge"] for x in entries):
-        raise ValidationError(f"'{where}' must be >= {meta['ge']}, got {raw!r}")
-    if meta["gt"] is not None and not all(x > meta["gt"] for x in entries):
-        raise ValidationError(f"'{where}' must be > {meta['gt']}, got {raw!r}")
+    for name, (holds, sign) in BOUNDS.items():
+        bound = meta[name]
+        if bound is not None and not all(holds(x, bound) for x in entries):
+            raise ValidationError(f"'{where}' must be {sign} {bound}, got {raw!r}")
     if meta["choices"] is not None and value not in meta["choices"]:
         raise ValidationError(
             f"'{where}' must be one of {meta['choices']}, got {raw!r}")
@@ -270,24 +269,58 @@ class TrainConfig:
         return self
 
 
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+POINT, BLOCK = _defaults(inject_point_missing), _defaults(inject_block_missing)
+
+
+@dataclass
+class PointParams:
+    rate: float = opt("rate", "number", POINT["rate"], ge=0, lt=1)
+
+
+@dataclass
+class SweepParams:
+    p: float = opt("p", "number", ge=0, lt=1)
+
+
+@dataclass
+class BlockParams:
+    point_rate: float = opt("point_rate", "number", BLOCK["point_rate"], ge=0, lt=1)
+    failure_prob: float = opt("failure_prob", "number", BLOCK["failure_prob"],
+                              ge=0, le=1)
+    len_min: int = opt("len_min", "int", BLOCK["len_min"], ge=1)
+    len_max: int = opt("len_max", "int", BLOCK["len_max"], ge=1)
+
+    def resolve(self):
+        if self.len_min > self.len_max:
+            raise ValidationError(
+                f"'inject.params.len_min' ({self.len_min}) exceeds "
+                f"'inject.params.len_max' ({self.len_max})")
+
+
+@dataclass
+class NoParams:
+    pass
+
+
+# policy: the injector keyword arguments its params may set
+INJECT_PARAMS = {"point": PointParams, "block": BlockParams,
+                 "sweep": SweepParams, "none": NoParams}
+
+
 @dataclass
 class InjectConfig:
-    policy: str = opt("policy", "str", "none", choices=POLICIES)
+    """params stay the given object, passed to the injector as keyword
+    arguments; parsing them checks keys, kinds and ranges only."""
+    policy: str = opt("policy", "str", "none", choices=tuple(INJECT_PARAMS))
     params: dict = opt("params", "object", {})
     seed: int = opt("seed", "int", 0, ge=0)
 
     def resolve(self):
-        known = INJECT_PARAMS[self.policy]
-        for key, value in self.params.items():
-            if key not in known:
-                raise ValidationError(
-                    f"'inject.params.{key}' is not a known key for policy "
-                    f"'{self.policy}'; expected one of {list(known)}")
-            if not _is_number(value):
-                raise ValidationError(
-                    f"'inject.params.{key}' must be a number, got {value!r}")
-        if self.policy == "sweep" and "p" not in self.params:
-            raise ValidationError("'inject.params.p' is required with policy 'sweep'")
+        parse(INJECT_PARAMS[self.policy], self.params, "inject.params")
 
 
 @dataclass
@@ -295,8 +328,7 @@ class OutputConfig:
     dir: str = opt("dir", "str", "runs/out")
 
 
-SYNTH = {name: p.default
-         for name, p in inspect.signature(synth_series).parameters.items()}
+SYNTH = _defaults(synth_series)
 
 
 @dataclass

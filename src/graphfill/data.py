@@ -110,7 +110,8 @@ class Dataset:
 
 @dataclass
 class SpatioTemporalWindow:
-    """A W-step slice of a dataset, with absolute step offsets.
+    """A W-step slice of a dataset, with absolute step offsets and, for a
+    subset of the sensors, absolute node ids.
 
     Positions with mask=1 form the observed set (value + position known);
     the rest form the target set the model must fill in. eval_mask flags
@@ -120,6 +121,7 @@ class SpatioTemporalWindow:
     mask: np.ndarray          # (W, N)
     eval_mask: np.ndarray     # (W, N)
     step_offsets: np.ndarray  # (W,) absolute step indices
+    nodes: np.ndarray | None = None  # (N,) node id of each column; None: 0..N-1
 
     @property
     def width(self) -> int:

@@ -62,14 +62,23 @@ class EncodingParams:
         return ([("encoding.spatial", self.spatial)]
                 + self.fuse.named_parameters("encoding.fuse"))
 
-    def codes_flat(self, step_offsets, n_nodes) -> T.Value:
-        """q for all positions, flattened so row τ·N + i is (step τ, node i)."""
-        if n_nodes != self.n_nodes:
-            raise ValidationError(
-                f"window has {n_nodes} nodes but embeddings cover {self.n_nodes}")
+    def codes_flat(self, step_offsets, n_nodes, nodes=None) -> T.Value:
+        """q for all positions, flattened so row τ·N + i is (step τ, column i).
+
+        nodes[i] is the node id of column i; without them the columns are
+        nodes 0..N-1 and must cover every node.
+        """
+        if nodes is None:
+            if n_nodes != self.n_nodes:
+                raise ValidationError(
+                    f"window has {n_nodes} nodes but embeddings cover {self.n_nodes}")
+            nodes = np.arange(n_nodes)
+        elif len(nodes) != n_nodes or not np.all((0 <= nodes) & (nodes < self.n_nodes)):
+            raise ValidationError(f"window node ids {list(nodes)} do not index "
+                                  f"{n_nodes} of {self.n_nodes} embeddings")
         u = temporal_encoding(step_offsets, self.periods)  # (W, d_u)
         w = len(step_offsets)
         u_flat = T.Value(np.repeat(u, n_nodes, axis=0))
-        v_flat = T.gather_rows(self.spatial, np.tile(np.arange(n_nodes), w))
+        v_flat = T.gather_rows(self.spatial, np.tile(nodes, w))
         return self.fuse(T.concat([u_flat, v_flat], axis=-1))
 

@@ -10,38 +10,39 @@ from .errors import ShapeError
 
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """The parameters Adam updates, their first/second moment estimates
+    and the shared step counter."""
 
     def __init__(self, params):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.params = list(params)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
 
-def adam_step(params, grads, state: AdamState, lr,
-              beta1=0.9, beta2=0.999, eps=1e-8):
-    """One in-place Adam update with bias correction.
+def adam_step(state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One in-place Adam update of state.params from their .grad, with
+    bias correction; every .grad is None afterwards.
 
-    grads[k] may be None (parameter untouched this pass): its moments
-    still decay, matching an all-zero gradient.
+    A parameter whose .grad is None (untouched this pass) still has its
+    moments decay, matching an all-zero gradient.
     """
-    if len(grads) != len(state.m):
-        raise ShapeError(f"got {len(grads)} gradients for {len(state.m)} parameters")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for k, p in enumerate(params):
-        g = grads[k]
+    for k, p in enumerate(state.params):
+        g = p.grad
         if g is None:
             g = 0.0
-        elif np.shape(g) != p.data.shape:
+        elif g.shape != p.data.shape:
             raise ShapeError(
-                f"gradient shape {np.shape(g)} != parameter shape {p.data.shape}")
+                f"gradient shape {g.shape} != parameter shape {p.data.shape}")
         state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
         state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * np.square(g)
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.grad = None
 
 
 def lr_schedule(step, epoch, base_lr, warmup_steps, restart_period_epochs):
@@ -56,16 +57,14 @@ def lr_schedule(step, epoch, base_lr, warmup_steps, restart_period_epochs):
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * phase))
 
 
-def clip_global_norm(grads, max_norm):
-    """Scale the gradient list in place so its joint L2 norm is <= max_norm."""
-    total = 0.0
-    for g in grads:
-        if g is not None:
-            total += float(np.sum(np.square(g)))
-    norm = math.sqrt(total)
+def clip_global_norm(params, max_norm):
+    """Scale the parameters' .grad in place so their joint L2 norm is
+    <= max_norm, skipping parameters without one; returns the norm
+    before clipping."""
+    grads = [p.grad for p in params if p.grad is not None]
+    norm = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for g in grads:
-            if g is not None:
-                g *= scale
+            g *= scale
     return norm

@@ -260,7 +260,7 @@ def init_states(params, window, graph, input_mask=None):
     if graph.n_nodes != n:
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
     x_leaf = T.Value(values.reshape(w * n, 1), requires_grad=True)
-    q_flat = params.encoding.codes_flat(window.step_offsets, n)
+    q_flat = params.encoding.codes_flat(window.step_offsets, n, window.nodes)
     obs_pos = np.flatnonzero(input_mask.ravel() == 1)
     targ_pos = np.flatnonzero(input_mask.ravel() == 0)
     h_obs = params.init_observed(T.concat(

@@ -103,18 +103,22 @@ class SpinHParameters(_Parameters):
     def _init_parameters(self):
         return super()._init_parameters() + [("hubs.base", self.hub_base)]
 
-    def hub_rows(self, n_nodes) -> T.Value:
-        """The layer-0 hub state, one row per (node, hub)."""
-        rows = np.arange(n_nodes * self.n_hubs, dtype=np.intp)
-        return T.gather_rows(self.hub_base,
-                             rows if self.per_node_hubs else rows % self.n_hubs)
+    def hub_rows(self, n_nodes, nodes=None) -> T.Value:
+        """The layer-0 hub state, one row per (window column, hub). nodes
+        are the columns' node ids (None: 0..n_nodes-1); they pick the rows
+        of a per-node table."""
+        hubs = np.arange(self.n_hubs)
+        if not self.per_node_hubs:
+            return T.gather_rows(self.hub_base, np.tile(hubs, n_nodes))
+        ids = np.arange(n_nodes) if nodes is None else np.asarray(nodes)
+        return T.gather_rows(self.hub_base, (ids[:, None] * self.n_hubs + hubs).ravel())
 
 
 def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
                   input_mask=None, collect_alphas=False) -> ImputationOutput:
     """Run the hierarchical stack on one window."""
     input_mask, x_leaf, h = init_states(params, window, graph, input_mask)
-    z = params.hub_rows(graph.n_nodes)
+    z = params.hub_rows(graph.n_nodes, window.nodes)
     plan = HubPlan(input_mask, graph, params.n_hubs,
                    params.n_masked < params.n_layers)
 

@@ -113,9 +113,6 @@ class Value:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -130,7 +127,11 @@ def as_value(x) -> Value:
 def _check_finite(arr):
     # A single non-finite entry makes the full sum non-finite (inf - inf
     # is NaN), so one reduction checks the whole array without allocating.
-    if not np.isfinite(np.sum(arr)):
+    # Finite entries can also overflow the sum; only then is every entry
+    # checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(arr)
+    if not np.isfinite(total) and not np.isfinite(arr).all():
         raise NonFiniteError("non-finite values produced by a forward operation")
 
 
@@ -354,9 +355,10 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
 
     dk = key_src.data.shape[-1]
     w_key, w_query = w_in.data[:dk], w_in.data[dk:]
-    from_key = key_src.data @ w_key
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        from_key = key_src.data @ w_key
+        from_query = query_src.data @ w_query
     _check_finite(from_key)
-    from_query = query_src.data @ w_query
     _check_finite(from_query)
     hid = np.take(from_key.T, key_idx, axis=1)
     hid += np.repeat((from_query[query] + b_in.data).T, counts, axis=1)
@@ -405,9 +407,11 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
 def backward(root: Value):
     """Accumulate d(root)/d(leaf) into .grad of every requires-grad leaf.
 
-    root must be a scalar recorded on an intact tape. Returns a dict
-    mapping each touched requires-grad leaf Value to its gradient array.
-    A second backward on the same tape raises TapeError.
+    root must be a scalar recorded on an intact tape. A leaf's .grad is
+    added to, not replaced, so clear it (set it to None) between passes
+    that should not sum; the optimizer step does. Leaves the tape does not
+    reach keep their .grad. A second backward on the same tape raises
+    TapeError.
     """
     tape = root.tape
     if tape is None:
@@ -419,7 +423,6 @@ def backward(root: Value):
     tape.consumed = True
 
     root.grad = np.ones_like(root.data)
-    leaf_grads = {}
     records = tape.records
     for k in range(len(records) - 1, -1, -1):
         out, inputs, backfn = records[k]
@@ -449,6 +452,3 @@ def backward(root: Value):
                     inp.grad = np.array(g, copy=True)
             else:
                 inp.grad += g
-            if inp.tape is None:
-                leaf_grads[inp] = inp.grad
-    return leaf_grads

@@ -77,7 +77,7 @@ def _column_subset_window(win, cols):
     return SpatioTemporalWindow(values=win.values[:, cols],
                                 mask=win.mask[:, cols],
                                 eval_mask=win.eval_mask[:, cols],
-                                step_offsets=win.step_offsets)
+                                step_offsets=win.step_offsets, nodes=cols)
 
 
 def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
@@ -153,7 +153,7 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
                         acc = term if acc is None else T.add(acc, term)
                     loss = T.div(acc, float(len(pairs)))
                     loss_value = float(loss.data)
-                    grads_map = T.backward(loss)
+                    T.backward(loss)
             except NonFiniteError as exc:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}: {exc}") from exc
@@ -161,14 +161,11 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}")
 
-            grads = [grads_map.get(p) for p in param_list]
-            clip_global_norm(grads, GRAD_CLIP_NORM)
+            clip_global_norm(param_list, GRAD_CLIP_NORM)
             lr = lr_schedule(step, epoch - 1, base_lr=config.lr,
                              warmup_steps=config.warmup_steps,
                              restart_period_epochs=config.restart_period)
-            adam_step(param_list, grads, adam, lr)
-            for p in param_list:
-                p.zero_grad()
+            adam_step(adam, lr)
             step += 1
             epoch_losses.append(loss_value)
 

@@ -64,19 +64,19 @@ def _full_model_gradcheck(forward, window, graph, params, n_layers, tol=1e-4):
     projections = [rng.normal(size=(w, n)) for _ in range(n_layers)]
     with T.Tape():
         out = forward(window, graph, params)
-        grads = T.backward(_projection_loss_value(out, projections))
+        T.backward(_projection_loss_value(out, projections))
     loss_fn = lambda: _projection_loss_float(forward, window, graph, params,
                                              projections)
     worst = 0.0
     for name, p in params.named_parameters():
-        got = grads.get(p)
+        got = p.grad
         if got is None:
             got = np.zeros_like(p.data)
         fd = _fd_on_array(p.data, loss_fn)
         err = np.max(np.abs(got - fd)) / (1.0 + np.max(np.abs(fd)))
         assert err < tol, f"{name}: fd mismatch {err:.3g}"
         worst = max(worst, err)
-    got = grads[out.x_leaf].reshape(w, n)
+    got = out.x_leaf.grad.reshape(w, n)
     fd = _fd_on_array(window.values, loss_fn)
     err = np.max(np.abs(got - fd)) / (1.0 + np.max(np.abs(fd)))
     assert err < tol, f"input values: fd mismatch {err:.3g}"
@@ -383,7 +383,7 @@ def test_criterion_8_loss_reduces_to_masked_mae():
         with T.Tape():
             out = spin_forward(window, graph, params, input_mask=input_mask)
             loss = spin_loss(out, window.values, loss_mask)
-            grads = T.backward(loss)
+            T.backward(loss)
         gap = abs(float(loss.data)
                   - mae(out.predictions, window.values, loss_mask))
         assert gap < 1e-12
@@ -392,6 +392,6 @@ def test_criterion_8_loss_reduces_to_masked_mae():
                        if n.startswith("layers.0.")]
         assert layer_names
         for name, p in layer_names:
-            assert grads.get(p) is not None, f"no gradient for {name}"
-        assert any(np.any(grads[p] != 0.0) for _, p in layer_names)
+            assert p.grad is not None, f"no gradient for {name}"
+        assert any(np.any(p.grad != 0.0) for _, p in layer_names)
     print(f"\ncriterion 8: loss == masked mae within {worst:.2e}")

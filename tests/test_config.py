@@ -185,6 +185,52 @@ def test_valid_inputs_train(files):
     assert main(["train", "--config", str(config)]) == 0
 
 
+BAD_INJECT_PARAMS = {
+    # name: (policy, params, the dotted key stderr names)
+    "rate of 1.5": ("point", {"rate": 1.5}, "'inject.params.rate'"),
+    "rate of 1": ("point", {"rate": 1}, "'inject.params.rate'"),
+    "rate given a string": ("point", {"rate": "0.1"}, "'inject.params.rate'"),
+    "key of another policy": ("point", {"p": 0.1}, "'inject.params.p'"),
+    "negative sweep level": ("sweep", {"p": -0.1}, "'inject.params.p'"),
+    "sweep without a level": ("sweep", {}, "'inject.params.p'"),
+    "point rate of 1": ("block", {"point_rate": 1.0}, "'inject.params.point_rate'"),
+    "failure probability 7": (
+        "block", {"failure_prob": 7}, "'inject.params.failure_prob'"),
+    "fractional length": ("block", {"len_min": 12.5}, "'inject.params.len_min'"),
+    "zero length": ("block", {"len_min": 0, "len_max": 4}, "'inject.params.len_min'"),
+    "lengths out of order": (
+        "block", {"len_min": 50, "len_max": 10}, "'inject.params.len_max'"),
+    "len_min above the default len_max": (
+        "block", {"len_min": 50}, "'inject.params.len_max'"),
+    "params with policy none": ("none", {"rate": 0.1}, "'inject.params.rate'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INJECT_PARAMS))
+def test_bad_inject_params_exit_1_naming_file_and_field(case, files, capsys):
+    tmp_path, _, doc = files
+    policy, params, named = BAD_INJECT_PARAMS[case]
+    doc["inject"] = {"policy": policy, "params": params}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["inject", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and named in err, err
+    assert not (tmp_path / "out" / "resolved_config.inject.json").exists()
+
+
+def test_inject_params_at_their_bounds_pass_through(files):
+    tmp_path, _, doc = files
+    params = {"point_rate": 0, "failure_prob": 1, "len_min": 3, "len_max": 3}
+    doc["inject"] = {"policy": "block", "params": params}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["inject", "--config", str(config)]) == 0
+    snapshot = json.loads(
+        (tmp_path / "out" / "resolved_config.inject.json").read_text())
+    assert snapshot["config"]["inject"]["params"] == params  # as given
+
+
 def corrupt_entry(name, change):
     """Rewrite the checkpoint so that entry `name` goes through `change`."""
     def apply(paths, text):

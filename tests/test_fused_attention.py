@@ -7,6 +7,8 @@ agree with it on values within 1e-12 and on every input gradient within
 1e-10 relative, on single ops and inside whole spin and spin-h stacks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,8 @@ def run_op(op, arrays, key_idx, starts, query, proj):
     leaves = [T.Value(a.copy(), requires_grad=True) for a in arrays]
     with T.Tape():
         out, alpha = op(leaves[0], leaves[1], key_idx, starts, query, *leaves[2:])
-        grads = T.backward(T.vsum(U.mul(out, proj)))
-    return out.data, alpha, [grads[leaf] for leaf in leaves]
+        T.backward(T.vsum(U.mul(out, proj)))
+    return out.data, alpha, [leaf.grad for leaf in leaves]
 
 
 def assert_matches_unfused(arrays, key_idx, starts, query, rng):
@@ -132,8 +134,11 @@ def test_rejects_malformed_sets_and_nonfinite_logits():
     hidden[0] = arrays[0].copy()
     hidden[0][2, 0] = -1e300
     hidden[2] = arrays[2] * 1e10
-    with pytest.raises(NonFiniteError):
-        call([0, 2], hidden)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError):
+            call([0, 2], hidden)
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_attend_requires_two_layer_messages_and_handles_no_pairs():
@@ -156,14 +161,16 @@ def compare_stacks(monkeypatch, forward, window, graph, params):
     results = []
     for op in (T.attention_sets, U.unfused_attention):
         monkeypatch.setattr(T, "attention_sets", op)
+        for p in params.parameters():
+            p.grad = None  # each run starts from no gradient
         with T.Tape():
             out = forward(window, graph, params, collect_alphas=True)
             loss = None
             for readout, proj in zip(out.readouts, projections):
                 term = T.vsum(U.mul(readout, proj))
                 loss = term if loss is None else T.add(loss, term)
-            grads = T.backward(loss)
-        results.append((out, [grads[p] for p in params.parameters()]))
+            T.backward(loss)
+        results.append((out, [p.grad for p in params.parameters()]))
     (got, got_grads), (want, want_grads) = results
     for r_got, r_want in zip(got.readouts, want.readouts):
         assert np.max(np.abs(r_got.data - r_want.data)) <= 1e-12
@@ -176,6 +183,7 @@ def compare_stacks(monkeypatch, forward, window, graph, params):
             assert np.array_equal(audit[1], layer_want[branch][1])
             assert np.max(np.abs(audit[0] - layer_want[branch][0])) <= 1e-12
     for (name, _), g, w in zip(params.named_parameters(), got_grads, want_grads):
+        assert g is not w, name  # two runs, two arrays
         assert np.max(np.abs(g - w)) <= 1e-10 * max(np.max(np.abs(w)), 1e-300), name
 
 

@@ -7,11 +7,14 @@ import graphfill.tensor as T
 from graphfill.data import (Dataset, SpatioTemporalWindow, mae, normalize,
                             split_slices, training_whiten)
 from graphfill.errors import DivergenceError, ValidationError
-from graphfill.graph import SensorGraph
+from graphfill.graph import SensorGraph, khop_subgraph
 from graphfill.spin import SpinParameters, spin_forward
+from graphfill.spin_h import SpinHParameters, spinh_forward
 from graphfill.train import (TrainConfig, baseline_knn, baseline_mean, evaluate,
                              evaluate_baseline, fit_node_means, spin_loss,
                              train)
+from test_spin import random_case as spin_case
+from test_spin_h import random_case as hub_case
 
 
 def ring_graph(n):
@@ -71,15 +74,15 @@ def test_loss_gradients_reach_first_layer():
         window, rng=np.random.default_rng(3), p=0.5)
     with T.Tape():
         out = spin_forward(window, graph, params, input_mask=input_mask)
-        grads = T.backward(spin_loss(out, window.values, loss_mask))
+        T.backward(spin_loss(out, window.values, loss_mask))
     first_layer = [(n, p) for n, p in params.named_parameters()
                    if n.startswith("layers.0.")]
     assert first_layer
     for name, p in first_layer:
-        g = grads.get(p)
+        g = p.grad
         assert g is not None, f"no gradient for {name}"
         assert np.all(np.isfinite(g))
-    assert any(np.any(grads[p] != 0.0) for _, p in first_layer)
+    assert any(np.any(p.grad != 0.0) for _, p in first_layer)
 
 
 def quick_config(**kw):
@@ -169,15 +172,59 @@ def test_whiten_onto_eval_entries_is_rejected(monkeypatch):
         train(ds, ring_graph(n_nodes), quick_config(), params)
 
 
-def test_subsampled_batches_run():
-    graph = ring_graph(4)
+@pytest.mark.parametrize("per_node_hubs", [None, True],
+                         ids=["spin", "spin-h per-node hubs"])
+@pytest.mark.parametrize("subsample", [{"n_seeds": 2, "k_hops": 1},
+                                       {"n_seeds": 1, "k_hops": 0},
+                                       {"n_seeds": 1, "k_hops": 1},
+                                       {"n_seeds": 3, "k_hops": 0}],
+                         ids=["2 seeds 1 hop", "1 seed 0 hops", "1 seed 1 hop",
+                              "3 seeds 0 hops"])
+def test_subsampled_batches_run(subsample, per_node_hubs):
+    # all but the first keep at most 3 of the ring's 4 nodes
     ds, _ = normalize(wave_dataset(), split_slices(120)[0])
-    params = tiny_params(8)
-    cfg = quick_config(epochs_max=2, patience=2,
-                       subsample={"n_seeds": 2, "k_hops": 1})
-    _, history, best = train(ds, graph, cfg, params)
+    if per_node_hubs is None:
+        params = tiny_params(8)
+    else:
+        params = SpinHParameters(n_nodes=4, d_h=8, d_z=8, n_hubs=2, n_layers=2,
+                                 n_masked=1, hidden=8, d_v=4, d_q=6,
+                                 per_node_hubs=True, rng=np.random.default_rng(8))
+    cfg = quick_config(epochs_max=2, patience=2, subsample=subsample)
+    _, history, best = train(ds, ring_graph(4), cfg, params)
     assert len(history) == 2
     assert np.isfinite(best)
+
+
+@pytest.mark.parametrize("variant", ["spin", "spin-h", "spin-h per-node hubs"])
+def test_khop_subgraph_predictions_match_full_graph(variant):
+    """With k = L hops a seed's subgraph holds everything that reaches it
+    in L layers, so its predictions equal the full graph's bit for bit;
+    with k = L - 1 they differ."""
+    n_layers, seeds = 2, [0, 4]
+    if variant == "spin":
+        window, graph, params = spin_case(3, n_nodes=9, width=6,
+                                          n_layers=n_layers, edge_p=0.2)
+        fwd = spin_forward
+    else:
+        window, graph, params = hub_case(3, n_nodes=9, width=6,
+                                         n_layers=n_layers, edge_p=0.2,
+                                         per_node_hubs=variant.endswith("hubs"))
+        fwd = spinh_forward
+    gaps = {}
+    with T.no_grad():
+        full = fwd(window, graph, params).predictions[:, seeds]
+        for k in (n_layers, n_layers - 1):
+            sub, node_map, seed_mask = khop_subgraph(graph, seeds, k)
+            cols = np.array(sorted(node_map))
+            assert len(cols) < graph.n_nodes
+            part = SpatioTemporalWindow(
+                values=window.values[:, cols], mask=window.mask[:, cols],
+                eval_mask=window.eval_mask[:, cols],
+                step_offsets=window.step_offsets, nodes=cols)
+            got = fwd(part, sub, params).predictions[:, seed_mask]
+            gaps[k] = float(np.max(np.abs(got - full)))
+    assert gaps[n_layers] == 0.0
+    assert gaps[n_layers - 1] > 0.0
 
 
 def test_config_validation():
