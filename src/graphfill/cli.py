@@ -130,8 +130,8 @@ def cmd_inject(cfg: RunConfig) -> int:
     injected = apply_inject(raw, cfg.inject)
     mask_path = os.path.join(out, "mask.csv")
     eval_path = os.path.join(out, "eval_mask.csv")
-    save_grid_csv(mask_path, injected.mask.astype(int), fmt="%d")
-    save_grid_csv(eval_path, injected.eval_mask.astype(int), fmt="%d")
+    save_grid_csv(mask_path, injected.mask.astype(int))
+    save_grid_csv(eval_path, injected.eval_mask.astype(int))
     n_removed = int(injected.eval_mask.sum()) - int(raw.eval_mask.sum())
     summary = {"policy": cfg.inject.policy, "params": cfg.inject.params,
                "seed": cfg.inject.seed, "n_valid_before": n_before,

@@ -334,18 +334,24 @@ SYNTH = _defaults(synth_series)
 @dataclass
 class SynthConfig:
     """Keyword arguments of `synth_series`, with its defaults."""
-    n_nodes: int = opt("n_nodes", "int", SYNTH["n_nodes"])
-    n_steps: int = opt("n_steps", "int", SYNTH["n_steps"])
+    n_nodes: int = opt("n_nodes", "int", SYNTH["n_nodes"], ge=2)
+    n_steps: int = opt("n_steps", "int", SYNTH["n_steps"], ge=2)
     seed: int = opt("seed", "int", SYNTH["seed"], ge=0)
     periods: tuple = opt("periods", "numbers", SYNTH["periods"], gt=0)
     noise_std: float = opt("noise_std", "number", SYNTH["noise_std"], ge=0)
     target_neighbors: int = opt("target_neighbors", "int",
                                 SYNTH["target_neighbors"], ge=1)
 
+    def resolve(self):
+        if self.target_neighbors >= self.n_nodes:
+            raise ValidationError(
+                f"'synth.target_neighbors' ({self.target_neighbors}) must be "
+                f"less than 'synth.n_nodes' ({self.n_nodes})")
+
 
 @dataclass
 class BenchmarkConfig:
-    n_nodes: int = opt("n_nodes", "int", 24, ge=1)
+    n_nodes: int = opt("n_nodes", "int", 24, ge=4)  # suggest_kernel needs > 3
     seed: int = opt("seed", "int", 0, ge=0)
     repeats: int = opt("repeats", "int", 3, ge=1)
 

@@ -225,25 +225,31 @@ def atomic_write(path, newline=None):
 
     It is written under a temporary name in the same directory and moved
     over `path` with os.replace on success. On failure it is removed, and
-    `path` keeps its old contents.
+    `path` keeps its old contents; an OSError names `path`, not the
+    temporary name.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline=newline) as f:
             yield f
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename == tmp:
+            exc.filename, exc.filename2 = path, None
+        raise
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def save_grid_csv(path, arr, header=None, fmt="%.17g"):
+def save_grid_csv(path, arr, header=None):
+    """Write a grid: floats as %.17g (an exact round trip), integers as str."""
     with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         if header is not None:
             writer.writerow(header)
         for row in np.asarray(arr):
-            writer.writerow([fmt % x if isinstance(x, float) or
+            writer.writerow(["%.17g" % x if isinstance(x, float) or
                              np.issubdtype(type(x), np.floating) else str(x)
                              for x in row])
 
@@ -298,11 +304,11 @@ def make_windows(dataset: Dataset, width: int, stride: int):
             for start in range(0, dataset.n_steps - width + 1, stride)]
 
 
-def _move_to_eval(mask, eval_mask, drop):
-    """Move `drop` positions (boolean, subset of mask) into the eval mask."""
-    new_mask = mask.astype(np.uint8) & ~drop.astype(np.uint8)
-    new_eval = eval_mask.astype(np.uint8) | drop.astype(np.uint8)
-    return new_mask, new_eval
+def _move_to_eval(mask, drop):
+    """(mask without `drop`, eval mask of `drop`); drop is a boolean
+    subset of mask."""
+    drop = drop.astype(np.uint8)
+    return mask.astype(np.uint8) & ~drop, drop
 
 
 def inject_point_missing(mask, rate=0.25, rng=None):
@@ -312,7 +318,7 @@ def inject_point_missing(mask, rate=0.25, rng=None):
     rng = np.random.default_rng(rng)
     mask = np.asarray(mask, dtype=np.uint8)
     drop = (rng.random(mask.shape) < rate) & (mask == 1)
-    return _move_to_eval(mask, np.zeros_like(mask), drop)
+    return _move_to_eval(mask, drop)
 
 
 def inject_block_missing(mask, point_rate=0.05, failure_prob=0.0015,
@@ -339,7 +345,7 @@ def inject_block_missing(mask, point_rate=0.05, failure_prob=0.0015,
     drop = failed & (mask == 1)
     remaining = (mask == 1) & ~drop
     drop |= (rng.random(mask.shape) < point_rate) & remaining
-    return _move_to_eval(mask, np.zeros_like(mask), drop)
+    return _move_to_eval(mask, drop)
 
 
 def inject_sparsity_sweep(mask, p, rng=None):

@@ -36,6 +36,8 @@ class SensorGraph:
                 raise ValidationError(f"edge ({s},{d}) references a missing node")
             if s == d:
                 raise ValidationError(f"self-loop on node {s} is not allowed")
+            if not np.isfinite(w):
+                raise ValidationError(f"edge ({s},{d}) has non-finite weight {w}")
             if w <= 0.0:
                 raise ValidationError(f"edge ({s},{d}) has non-positive weight {w}")
         if len({(s, d) for s, d, _ in edges}) != len(edges):

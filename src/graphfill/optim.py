@@ -58,13 +58,12 @@ def lr_schedule(step, epoch, base_lr, warmup_steps, restart_period_epochs):
 
 
 def clip_global_norm(params, max_norm):
-    """Scale the parameters' .grad in place so their joint L2 norm is
-    <= max_norm, skipping parameters without one; returns the norm
-    before clipping."""
-    grads = [p.grad for p in params if p.grad is not None]
-    norm = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
+    """Replace each parameter's .grad (skipping None) with a copy scaled so
+    their joint L2 norm is <= max_norm; returns the norm before clipping."""
+    params = [p for p in params if p.grad is not None]
+    norm = math.sqrt(sum(float(np.sum(np.square(p.grad))) for p in params))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        for p in params:
+            p.grad = p.grad * scale
     return norm

@@ -198,21 +198,20 @@ class ImputationOutput:
     last one is the imputation. x_leaf is the value array the pass read
     from, kept so callers can inspect input gradients. pairs_per_layer
     records how many (key, query) pairs each branch materialized, and
-    alphas each branch's (alpha, starts) audit when collected.
+    alphas each branch's audit from `attend`.
     """
     readouts: list
     x_leaf: T.Value
     pairs_per_layer: list
-    alphas: list = None
+    alphas: list
 
     @property
     def predictions(self) -> np.ndarray:
         return self.readouts[-1].data
 
 
-def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score,
-           collect=False):
-    """One attention branch over indexed message sets.
+def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score):
+    """One attention branch over indexed message sets: (context, audit).
 
     Set s holds the keys key_idx[starts[s]:starts[s+1]], rows of key_src,
     and belongs to row query[s] of query_src. A pair's message is
@@ -221,6 +220,8 @@ def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score,
     query rows: the result has query_src's row count. key_src and
     query_src may live in different index spaces (e.g. hub rows vs
     position rows). The branch is one tape op, `tensor.attention_sets`.
+    The audit is (alpha, starts), the (P, 1) weights and the set starts,
+    uncopied as nothing writes to them; None for a branch without pairs.
 
     Arguments after the sources are keyword-only because perfbench's
     tracer attributes a branch by the `msg_mlp` and `key_idx` it reads
@@ -240,8 +241,7 @@ def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score,
     out, alpha = T.attention_sets(key_src, query_src, key_idx, starts, query,
                                   msg_mlp.weights[0], msg_mlp.biases[0],
                                   msg_mlp.weights[1], msg_mlp.biases[1], score)
-    audit = (alpha.copy(), starts.copy()) if collect else None
-    return out, audit
+    return out, (alpha, starts)
 
 
 def init_states(params, window, graph, input_mask=None):
@@ -271,7 +271,7 @@ def init_states(params, window, graph, input_mask=None):
     return input_mask, x_leaf, h
 
 
-def position_update(blk, key_src, h, self_sets, cross_sets, collect=False):
+def position_update(blk, key_src, h, self_sets, cross_sets):
     """One block's position update: (new h, pair counts, alpha audits).
 
     Every position attends over its self and cross sets with keys from
@@ -283,13 +283,13 @@ def position_update(blk, key_src, h, self_sets, cross_sets, collect=False):
         ctx, audits[branch] = attend(key_src, h, key_idx=sets.key,
                                      starts=sets.starts, query=sets.query,
                                      msg_mlp=blk[f"{branch}_msg"],
-                                     score=blk[f"{branch}_score"], collect=collect)
+                                     score=blk[f"{branch}_score"])
         parts.append(ctx)
         pairs[branch] = sets.n_pairs
     return blk["update"](T.concat(parts, axis=-1)), pairs, audits
 
 
-def run_layers(params, x_leaf, h, shape, layer, collect) -> ImputationOutput:
+def run_layers(params, x_leaf, h, shape, layer) -> ImputationOutput:
     """Run every block from the layer-0 states h; layer(blk, h, masked)
     returns one block's (h, pair counts, audits), and each block's states
     go through the shared readout, reshaped to the (W, N) `shape`.
@@ -302,12 +302,11 @@ def run_layers(params, x_leaf, h, shape, layer, collect) -> ImputationOutput:
         pairs.append({**n_pairs, "masked": masked})
         alphas.append(audits)
     return ImputationOutput(readouts=readouts, x_leaf=x_leaf,
-                            pairs_per_layer=pairs,
-                            alphas=alphas if collect else None)
+                            pairs_per_layer=pairs, alphas=alphas)
 
 
 def spin_forward(window, graph: SensorGraph, params: SpinParameters,
-                 input_mask=None, collect_alphas=False) -> ImputationOutput:
+                 input_mask=None) -> ImputationOutput:
     """Run the full stack on one window.
 
     input_mask defaults to the window's mask; training passes a whitened
@@ -319,7 +318,6 @@ def spin_forward(window, graph: SensorGraph, params: SpinParameters,
         phases.append(build_attention_plan(input_mask, graph, masked=False))
 
     def layer(blk, h, masked):
-        return position_update(blk, h, h, *phases[0 if masked else 1],
-                               collect_alphas)
+        return position_update(blk, h, h, *phases[0 if masked else 1])
 
-    return run_layers(params, x_leaf, h, input_mask.shape, layer, collect_alphas)
+    return run_layers(params, x_leaf, h, input_mask.shape, layer)

@@ -115,7 +115,7 @@ class SpinHParameters(_Parameters):
 
 
 def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
-                  input_mask=None, collect_alphas=False) -> ImputationOutput:
+                  input_mask=None) -> ImputationOutput:
     """Run the hierarchical stack on one window."""
     input_mask, x_leaf, h = init_states(params, window, graph, input_mask)
     z = params.hub_rows(graph.n_nodes, window.nodes)
@@ -127,10 +127,10 @@ def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
         hub = plan.masked_hub if masked else plan.open_hub
         c_hub, a_hub = attend(h, z, key_idx=hub.key, starts=hub.starts,
                               query=hub.query, msg_mlp=blk["hub_msg"],
-                              score=blk["hub_score"], collect=collect_alphas)
+                              score=blk["hub_score"])
         z = blk["hub_fuse"](T.concat([z, c_hub], axis=-1))
         h, pairs, audits = position_update(blk, z, h, plan.read_self,
-                                           plan.read_cross, collect_alphas)
+                                           plan.read_cross)
         return h, {"hub": hub.n_pairs, **pairs}, {"hub": a_hub, **audits}
 
-    return run_layers(params, x_leaf, h, input_mask.shape, layer, collect_alphas)
+    return run_layers(params, x_leaf, h, input_mask.shape, layer)

@@ -2,8 +2,10 @@
 
 Operations run eagerly on numpy arrays. While a Tape is active, every
 operation appends a record holding a closure that maps the output gradient
-to input gradients; backward() replays the records in reverse order. With
-no active tape, operations only compute values, which keeps repeated
+to input gradients; backward() replays the records in reverse order. A
+closure may return views of its output gradient, or one array for several
+inputs, because no gradient array is ever written in place. With no
+active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
 The op set is deliberately small: add, sub, div, vabs, relu, matmul
@@ -258,10 +260,8 @@ def vsum(a, axis=None, keepdims=False):
     data = np.sum(a.data, axis=axis, keepdims=keepdims)
 
     def backfn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.data.shape),)
 
     return _make_output(data, (a,), backfn)
 
@@ -353,6 +353,11 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
     if len(starts) == 0 or starts[0] != 0 or np.any(counts < 1):
         raise EmptySetError("message sets must be non-empty and cover every pair")
 
+    # alpha outlives this call (the backward and the caller's audit read
+    # it). Allocated before the (hidden, P) temporaries, it does not split
+    # the heap space they free: perfbench's spin-impute-block read a peak
+    # RSS of 84-86 MB with alpha allocated last, 81 MB so (2-vCPU Xeon).
+    alpha = np.empty(len(key_idx))
     dk = key_src.data.shape[-1]
     w_key, w_query = w_in.data[:dk], w_in.data[dk:]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -369,7 +374,7 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
     shifted = logit - np.repeat(np.maximum.reduceat(logit, starts), counts)
     inside = shifted >= -LOGIT_SPAN
     e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
-    alpha = e / np.repeat(np.add.reduceat(e, starts), counts)
+    np.divide(e, np.repeat(np.add.reduceat(e, starts), counts), out=alpha)
     pooled = np.add.reduceat(hid * alpha, starts, axis=1)
     ctx = pooled.T @ w_out.data
     ctx += b_out.data
@@ -407,10 +412,11 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
 def backward(root: Value):
     """Accumulate d(root)/d(leaf) into .grad of every requires-grad leaf.
 
-    root must be a scalar recorded on an intact tape. A leaf's .grad is
-    added to, not replaced, so clear it (set it to None) between passes
-    that should not sum; the optimizer step does. Leaves the tape does not
-    reach keep their .grad. A second backward on the same tape raises
+    root must be a scalar recorded on an intact tape. A leaf's .grad
+    accumulates, each sum a fresh array, so clear it (set it to None)
+    between passes that should not sum; the optimizer step does. Leaves
+    the tape does not reach keep their .grad, and a .grad may share its
+    array with other gradients. A second backward on the same tape raises
     TapeError.
     """
     tape = root.tape
@@ -429,26 +435,8 @@ def backward(root: Value):
         records[k] = None  # free the record (and its arrays) once consumed
         if out.grad is None:
             continue
-        out_grad = out.grad
-        grads = backfn(out_grad)
+        grads = backfn(out.grad)
         out.grad = None
-        # Gradients are accumulated in place, so each input must own its
-        # array: fresh backfn outputs are adopted as-is; the output
-        # gradient's storage may be adopted by at most one input, and
-        # any other aliasing result is copied.
-        out_grad_claimed = False
         for inp, g in zip(inputs, grads):
-            if g is None or not inp.requires_grad:
-                continue
-            if inp.grad is None:
-                if g is out_grad or g.base is out_grad:
-                    if out_grad_claimed:
-                        g = np.array(g, copy=True)
-                    out_grad_claimed = True
-                    inp.grad = g
-                elif g.base is None:
-                    inp.grad = g
-                else:
-                    inp.grad = np.array(g, copy=True)
-            else:
-                inp.grad += g
+            if g is not None and inp.requires_grad:
+                inp.grad = g if inp.grad is None else inp.grad + g

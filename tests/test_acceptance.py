@@ -177,9 +177,8 @@ def test_criterion_4_alpha_sums_and_node_permutation():
         hub_window, hub_graph, hub_params = random_hub_case(
             400 + seed, n_nodes=5)
         with T.no_grad():
-            core = spin_forward(window, graph, params, collect_alphas=True)
-            hub = spinh_forward(hub_window, hub_graph, hub_params,
-                                collect_alphas=True)
+            core = spin_forward(window, graph, params)
+            hub = spinh_forward(hub_window, hub_graph, hub_params)
         for out in (core, hub):
             for layer in out.alphas:
                 for audit in layer.values():

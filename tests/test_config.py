@@ -152,6 +152,10 @@ BAD_INPUTS = {
     "self-loop edge": (break_line("edges", 3, "2,2,0.5"), "edges", "self-loop"),
     "non-positive edge weight": (
         break_line("edges", 3, "1,2,0"), "edges", "non-positive weight"),
+    "NaN edge weight": (
+        break_line("edges", 3, "1,2,nan"), "edges", "(1,2) has non-finite weight"),
+    "infinite edge weight": (
+        break_line("edges", 3, "1,2,inf"), "edges", "(1,2) has non-finite weight"),
     "duplicate edge": (break_line("edges", 3, "0,1,0.5"), "edges", "duplicate"),
     "two-cell edge row": (
         break_line("edges", 3, "2,1"), "edges", "row 3 has 2 cells"),
@@ -162,6 +166,19 @@ BAD_INPUTS = {
     "distance matrix not N x N": (
         lambda paths, doc: paths["distances"].write_text("0,1\n1,0\n2,1\n"),
         "distances", "3x2"),
+    "synth with one node": (
+        break_config("synth", "n_nodes", 1), "config", "'synth.n_nodes' must be >= 2"),
+    "synth with one step": (
+        break_config("synth", "n_steps", 1), "config", "'synth.n_steps' must be >= 2"),
+    "synth with as many neighbors as nodes": (
+        break_config("synth", "n_nodes", 2), "config",
+        "'synth.target_neighbors' (2) must be less than 'synth.n_nodes' (2)"),
+    "synth neighbors above the node count": (
+        break_config("synth", "target_neighbors", 25), "config",
+        "'synth.target_neighbors' (25) must be less than 'synth.n_nodes' (20)"),
+    "benchmark with 3 nodes": (
+        break_config("benchmark", "n_nodes", 3), "config",
+        "'benchmark.n_nodes' must be >= 4"),
 }
 
 
@@ -253,6 +270,16 @@ def output_at(below):
     return apply
 
 
+def artifact_dir(name):
+    """Put a directory where the output artifact `name` goes."""
+    def apply(paths, text):
+        paths["artifact"] = paths["config"].with_name("out") / name
+        paths["artifact"].unlink()
+        paths["artifact"].mkdir()
+        return text
+    return apply
+
+
 BAD_IMPUTE_FILES = {
     # name: (how to break the checkpoint text or config, the path named, what else)
     "not JSON": (lambda paths, text: text[:-1], "checkpoint", "not valid JSON"),
@@ -273,6 +300,8 @@ BAD_IMPUTE_FILES = {
     "config is a directory": (None, "config", "Is a directory"),
     "output dir is a file": (output_at(None), "output", "File exists"),
     "output dir below a file": (output_at("run"), "output", "Not a directory"),
+    "imputed.csv is a directory": (
+        artifact_dir("imputed.csv"), "artifact", "Is a directory"),
 }
 
 
@@ -298,6 +327,7 @@ def test_bad_impute_file_exits_1_naming_it(case, files, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert str(paths[culprit]) in err and named in err, err
+    assert ".tmp" not in err, err  # the artifact, not its temporary file
     assert not snapshot.exists()  # a failed command writes no snapshot
 
 

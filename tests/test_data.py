@@ -44,7 +44,7 @@ def test_load_dataset_mask_file_wins(tmp_path):
     mpath = os.path.join(tmp_path, "mask.csv")
     with open(vpath, "w") as f:
         f.write("a,b\n1.0,2.0\n3.0,4.0\n")
-    save_grid_csv(mpath, np.array([[1, 0], [0, 1]]), fmt="%d")
+    save_grid_csv(mpath, np.array([[1, 0], [0, 1]]))
     ds = load_dataset(vpath, mpath)
     assert ds.mask.tolist() == [[1, 0], [0, 1]]
 
@@ -54,7 +54,7 @@ def test_load_dataset_mask_marking_blank_rejected(tmp_path):
     mpath = os.path.join(tmp_path, "mask.csv")
     with open(vpath, "w") as f:
         f.write("a,b\n1.0,\n")
-    save_grid_csv(mpath, np.array([[1, 1]]), fmt="%d")
+    save_grid_csv(mpath, np.array([[1, 1]]))
     with pytest.raises(ValidationError):
         load_dataset(vpath, mpath)
 

@@ -164,7 +164,7 @@ def compare_stacks(monkeypatch, forward, window, graph, params):
         for p in params.parameters():
             p.grad = None  # each run starts from no gradient
         with T.Tape():
-            out = forward(window, graph, params, collect_alphas=True)
+            out = forward(window, graph, params)
             loss = None
             for readout, proj in zip(out.readouts, projections):
                 term = T.vsum(U.mul(readout, proj))

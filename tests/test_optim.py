@@ -76,6 +76,19 @@ def test_clip_scales_only_above_the_limit_and_returns_the_norm():
     assert clip_global_norm([none], 1.0) == 0.0
 
 
+def test_clip_scales_a_gradient_shared_by_two_parameters_once():
+    # add gives both inputs its output gradient, here vsum's read-only
+    # broadcast view, so a and b end up holding the same array.
+    a, b = leaf([1.0, 2.0, 3.0]), leaf([-1.0, 0.5, 4.0])
+    with T.Tape():
+        T.backward(T.vsum(T.add(a, b)))
+    assert a.grad is b.grad
+    norm = clip_global_norm([a, b], 1.0)
+    assert norm == math.sqrt(6.0)
+    for p in (a, b):
+        assert np.array_equal(p.grad, np.full(3, 1.0 / norm))
+
+
 def test_lr_schedule_warmup_then_cosine_restarts():
     base, warmup, period = 0.01, 12, 100
     assert lr_schedule(0, 0, base, warmup, period) == 0.0

@@ -153,7 +153,7 @@ def test_attention_weights_sum_to_one_per_set():
         window, graph, params = random_case(seed + 20, n_nodes=5, width=6,
                                             n_layers=2, n_masked=1)
         with T.no_grad():
-            out = spin_forward(window, graph, params, collect_alphas=True)
+            out = spin_forward(window, graph, params)
         assert out.alphas is not None
         checked = 0
         for layer in out.alphas:

@@ -120,7 +120,7 @@ def test_attention_weights_sum_to_one():
     for seed in range(5):
         window, graph, params = random_case(seed + 10, n_nodes=5)
         with T.no_grad():
-            out = spinh_forward(window, graph, params, collect_alphas=True)
+            out = spinh_forward(window, graph, params)
         checked = 0
         for layer in out.alphas:
             for branch in ("hub", "self", "cross"):

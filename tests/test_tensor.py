@@ -306,6 +306,25 @@ def test_value_reused_twice_accumulates_gradient():
     assert np.allclose(x.grad, 2.0 * x.data)
 
 
+def test_leaves_sharing_a_backfn_array_sum_into_their_own():
+    # add hands its output gradient to both inputs as one array, and
+    # concat and reshape pass views of theirs: a and b first receive the
+    # same array, then each adds its concat piece. A sum written into the
+    # shared array would give b a's piece too.
+    rng = np.random.default_rng(5)
+    a = T.Value(rng.normal(size=(2, 3)), requires_grad=True)
+    b = T.Value(rng.normal(size=(2, 3)), requires_grad=True)
+    w = rng.normal(size=(6, 1))
+    with T.Tape():
+        u = T.concat([a, b], axis=0)
+        c = T.add(a, b)
+        rows = T.reshape(T.concat([c, u], axis=0), (3, 6))
+        T.backward(T.vsum(T.matmul(rows, w)))
+    g = np.tile(w.T, (3, 1)).reshape(6, 3)  # d(loss)/d[c; a; b]
+    assert np.array_equal(a.grad, g[0:2] + g[2:4])
+    assert np.array_equal(b.grad, g[0:2] + g[4:6])
+
+
 def test_backward_requires_tape_and_consumes_it():
     x = T.Value(np.array([1.0]), requires_grad=True)
     with pytest.raises(TapeError):
