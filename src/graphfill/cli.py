@@ -29,7 +29,7 @@ from .config import InjectConfig, RunConfig, build_params, load_run_config
 from .data import (Dataset, atomic_write, inject_block_missing,
                    inject_point_missing, inject_sparsity_sweep, load_dataset,
                    normalize, save_grid_csv, split_slices)
-from .errors import GraphfillError, ValidationError
+from .errors import GraphfillError, KernelError, ValidationError
 from .graph import (SensorGraph, build_adjacency_gaussian, load_distances_csv,
                     load_edges_csv)
 from .spin import spin_forward
@@ -64,6 +64,9 @@ def build_graph(cfg: RunConfig, n_nodes: int) -> SensorGraph:
                 f"{distances.shape[1]} but the series has {n_nodes} sensors")
         try:
             return build_adjacency_gaussian(distances, data.gamma, data.delta)
+        except KernelError as exc:
+            raise ValidationError(
+                f"'data.gamma' does not fit {data.distances_csv}: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{data.distances_csv}: {exc}") from None
     return load_edges_csv(data.edges_csv, n_nodes)

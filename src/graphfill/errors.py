@@ -25,6 +25,10 @@ class ValidationError(GraphfillError):
     """Invalid configuration or input data; maps to CLI exit code 1."""
 
 
+class KernelError(ValidationError):
+    """A Gaussian-kernel parameter does not fit the distances it weights."""
+
+
 class MetricError(GraphfillError):
     """A metric was requested over an empty evaluation set."""
 

@@ -6,9 +6,12 @@ of in-neighbors of i. Self-loops are excluded; a node's own history is
 handled by a separate per-node branch in the model, so a self-loop would
 duplicate it.
 
-Edges are stored sorted by (dst, src). Every aggregation in the package
-iterates them in this order, which keeps floating-point summation
-reproducible.
+Edges are stored sorted by (dst, src), and every aggregation sums in a
+fixed order, which keeps floating-point summation reproducible. The
+attention contexts of a node's in-edges are summed onto its query rows
+in block order: by the source's key count (its observed steps in a
+masked spin layer; one count in an open layer and in spin-h's hub
+reads), then by (dst, src) within a count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .data import cell_error
 from .data import load_grid_csv as load_distances_csv  # the N×N distance reader
-from .errors import ShapeError, ValidationError
+from .errors import KernelError, ShapeError, ValidationError
 
 
 class SensorGraph:
@@ -78,13 +81,15 @@ def build_adjacency_gaussian(distances, gamma: float, delta: float) -> SensorGra
     """Gaussian-kernel adjacency: weight exp(-d^2/gamma) where d <= delta.
 
     The distance matrix must be square, non-negative, with a zero
-    diagonal; the diagonal never produces an edge.
+    diagonal; the diagonal never produces an edge. A gamma that is not
+    positive, or so small that an edge's weight underflows to 0, raises
+    KernelError.
     """
     dist = np.asarray(distances, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ShapeError(f"distance matrix must be square, got shape {dist.shape}")
     if gamma <= 0.0:
-        raise ValidationError(f"kernel shape parameter gamma must be > 0, got {gamma}")
+        raise KernelError(f"kernel shape parameter gamma must be > 0, got {gamma}")
     if np.any(dist < 0.0):
         raise ValidationError("distances must be non-negative")
     if np.any(np.diag(dist) != 0.0):
@@ -94,7 +99,12 @@ def build_adjacency_gaussian(distances, gamma: float, delta: float) -> SensorGra
     for i in range(n):
         for j in range(n):
             if i != j and dist[i, j] <= delta:
-                edges.append((i, j, float(np.exp(-dist[i, j] ** 2 / gamma))))
+                weight = float(np.exp(-dist[i, j] ** 2 / gamma))
+                if weight == 0.0:
+                    raise KernelError(
+                        f"gamma {gamma} underflows the weight exp(-d^2/gamma) "
+                        f"of edge ({i},{j}) at distance {dist[i, j]:g} to 0")
+                edges.append((i, j, weight))
     return SensorGraph(n, edges, distances=dist)
 
 

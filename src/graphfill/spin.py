@@ -19,19 +19,19 @@ W steps of the learned states. A shared readout maps every block's states
 to value predictions; training supervises all of them, imputation uses
 the last.
 
-All message sets of one branch and layer are processed as one batch of
-flat index arrays (position p = τ·N + i), a `MessageSets` record, by one
-tape op, `tensor.attention_sets`: the message MLP, the per-set softmax
-and the sum of contexts onto query rows. Every set reads one key
-group: a node's observed steps (masked phase), all W of its steps (open
-phase), or, in spin-h, a node's K hubs. `message_sets` builds any branch
-from its key groups and its per-set (group, query row) arrays with
-`repeat`/`cumsum`, no loop over nodes or edges: spin self sets run
-node-major then τ, cross sets edge-major then τ. Message sets are
-materialized only for allowed (sender, receiver) pairs — masking is
-structural, never an additive penalty — so hidden values are unread by
-construction, and a masked-phase forward is bit-for-bit independent of
-them.
+All message sets of one branch and layer are one `MessageSets` record,
+run by one tape op, `tensor.attention_blocks`: the message MLP, the
+per-set softmax and the sum of contexts onto query rows. Every set reads
+one whole key group: a node's observed steps (masked phase), all W of
+its steps (open phase), or, in spin-h, a node's K hubs. So a group and
+the Wq query rows that read it form a dense Wq × c block, and
+`block_sets` buckets a branch's blocks by their key count c into
+(G, Wq, c) arrays, no padding and no loop over nodes or edges: spin self
+blocks are nodes, cross blocks edges, each with the W steps of the
+receiving node as query rows. Message sets are materialized only for
+allowed (sender, receiver) pairs — masking is structural, never an
+additive penalty — so hidden values are unread by construction, and a
+masked-phase forward is bit-for-bit independent of them.
 """
 
 from __future__ import annotations
@@ -54,38 +54,46 @@ N_MASKED_LAYERS = 3  # eta, for both variants
 
 @dataclass
 class MessageSets:
-    """Flat index arrays of one attention branch's message sets.
+    """One attention branch's message sets, as dense blocks.
 
-    `key` runs over every key of every set, and `starts` marks each set's
-    first key. Set s belongs to query row `query[s]`, where its context
-    lands. Cross-branch sets of edges with the same destination share a
-    query row, so summing contexts onto it performs the neighbor sum, in
-    ascending-source order.
+    `blocks` holds one (keys (G, c), rows (G, Wq)) pair of intp arrays
+    per distinct key count c: each of a block's Wq query rows reads the
+    block's c keys, one set per (block, query row). Cross-branch blocks
+    of edges with the same destination share query rows, so summing
+    contexts onto them performs the neighbor sum. `n_pairs` counts the
+    (key, query) pairs, sum G·Wq·c, and is the record's length.
     """
-    key: np.ndarray
-    starts: np.ndarray
-    query: np.ndarray
+    blocks: list
+    n_pairs: int
+
+    def __len__(self) -> int:
+        return self.n_pairs
 
     @property
-    def n_pairs(self) -> int:
-        return len(self.key)
+    def starts(self) -> np.ndarray:
+        """Each set's first pair, in the order `attention_blocks` lays out
+        its weights."""
+        sizes = np.repeat([keys.shape[1] for keys, _ in self.blocks],
+                          [rows.size for _, rows in self.blocks]).astype(np.intp)
+        return np.cumsum(sizes) - sizes
 
 
-def message_sets(members, offsets, group, query) -> MessageSets:
-    """Sets that each read one key group, in the given set order.
+def block_sets(members, offsets, group, rows) -> MessageSets:
+    """Blocks whose query rows each read one key group.
 
-    Key group g holds members[offsets[g]:offsets[g + 1]]; set s reads
-    group[s] for the query row query[s]. Sets whose group is empty are
+    Key group j holds members[offsets[j]:offsets[j + 1]]; the query rows
+    rows[b] (a (B, Wq) array) all read group[b]. Blocks with equal group
+    sizes c form one (keys (G, c), rows (G, Wq)) entry, in ascending c
+    and then in the given block order; blocks whose group is empty are
     dropped (their contexts stay zero).
     """
     sizes = np.diff(offsets)[group]
-    keep = sizes > 0
-    group, query, sizes = group[keep], query[keep], sizes[keep]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    n_pairs = int(ends[-1]) if len(ends) else 0
-    key = members[np.repeat(offsets[group] - starts, sizes) + np.arange(n_pairs)]
-    return MessageSets(key=key, starts=starts, query=query)
+    blocks = []
+    for c in np.unique(sizes[sizes > 0]):
+        pick = sizes == c
+        keys = members[offsets[group[pick]][:, None] + np.arange(c)]
+        blocks.append((keys, rows[pick]))
+    return MessageSets(blocks, sum(keys.size * rows.shape[1] for keys, rows in blocks))
 
 
 def node_steps(mask):
@@ -100,12 +108,9 @@ def node_steps(mask):
     return (flat % w) * n + flat // w, offsets
 
 
-def step_sets(groups, dst, w, n):
-    """(group, query) of the sets (g, τ), g-major then τ.
-
-    Set (g, τ) reads key group groups[g] for the position τ·N + dst[g].
-    """
-    return np.repeat(groups, w), (np.arange(w) * n + dst[:, None]).ravel()
+def step_rows(dst, w, n):
+    """(len(dst), W) query rows: row g holds the positions τ·N + dst[g]."""
+    return dst[:, None] + np.arange(w) * n
 
 
 def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
@@ -113,16 +118,16 @@ def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
 
     With `masked` set, node j contributes only its observed steps as keys;
     otherwise all W steps. Queries always run over all (node, step)
-    positions: the self branch has one set per (node, step), the cross
-    branch one per (edge, step).
+    positions: the self branch has one block per node, the cross branch
+    one per edge, each with the W steps of the destination as query rows.
     """
     w, n = input_mask.shape
     if graph.n_nodes != n:
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
     keys = node_steps(input_mask if masked else np.ones((w, n), dtype=bool))
     nodes = np.arange(n)
-    return (message_sets(*keys, *step_sets(nodes, nodes, w, n)),
-            message_sets(*keys, *step_sets(graph.src, graph.dst, w, n)))
+    return (block_sets(*keys, nodes, step_rows(nodes, w, n)),
+            block_sets(*keys, graph.src, step_rows(graph.dst, w, n)))
 
 
 def score_vector(d, rng) -> T.Value:
@@ -210,22 +215,24 @@ class ImputationOutput:
         return self.readouts[-1].data
 
 
-def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score):
-    """One attention branch over indexed message sets: (context, audit).
+def attend(key_src, query_src, *, key_idx, msg_mlp, score):
+    """One attention branch over a `MessageSets` record: (context, audit).
 
-    Set s holds the keys key_idx[starts[s]:starts[s+1]], rows of key_src,
-    and belongs to row query[s] of query_src. A pair's message is
+    key_idx is the branch's MessageSets. Each set's keys are rows of
+    key_src and its query is a row of query_src. A pair's message is
     msg_mlp([key row, query row]); per-set softmax weights (scored by
     `score`) combine messages into contexts, which are summed onto their
     query rows: the result has query_src's row count. key_src and
     query_src may live in different index spaces (e.g. hub rows vs
-    position rows). The branch is one tape op, `tensor.attention_sets`.
-    The audit is (alpha, starts), the (P, 1) weights and the set starts,
-    uncopied as nothing writes to them; None for a branch without pairs.
+    position rows). The branch is one tape op, `tensor.attention_blocks`.
+    The audit is (alpha, starts), the (P, 1) weights and each set's
+    first pair, flat in block order; None for a branch without pairs.
 
-    Arguments after the sources are keyword-only because perfbench's
-    tracer attributes a branch by the `msg_mlp` and `key_idx` it reads
-    from the call's keywords.
+    Arguments after the sources are keyword-only, and the record keeps
+    the name `key_idx`, because perfbench's tracer attributes a branch by
+    the `msg_mlp` it reads from the call's keywords and counts its pairs
+    as len(key_idx). The name stays until the tracer counts pairs from
+    `pairs_per_layer` (ROADMAP item 1).
     """
     if len(msg_mlp.weights) != 2:
         raise ShapeError(
@@ -238,10 +245,10 @@ def attend(key_src, query_src, *, key_idx, starts, query, msg_mlp, score):
         raise ShapeError(
             f"message MLP expects width {msg_mlp.widths[0]}, sources have "
             f"{dk} + {dq}")
-    out, alpha = T.attention_sets(key_src, query_src, key_idx, starts, query,
-                                  msg_mlp.weights[0], msg_mlp.biases[0],
-                                  msg_mlp.weights[1], msg_mlp.biases[1], score)
-    return out, (alpha, starts)
+    out, alpha = T.attention_blocks(key_src, query_src, key_idx.blocks,
+                                    msg_mlp.weights[0], msg_mlp.biases[0],
+                                    msg_mlp.weights[1], msg_mlp.biases[1], score)
+    return out, (alpha, key_idx.starts)
 
 
 def init_states(params, window, graph, input_mask=None):
@@ -280,8 +287,7 @@ def position_update(blk, key_src, h, self_sets, cross_sets):
     """
     parts, pairs, audits = [h], {}, {}
     for branch, sets in (("self", self_sets), ("cross", cross_sets)):
-        ctx, audits[branch] = attend(key_src, h, key_idx=sets.key,
-                                     starts=sets.starts, query=sets.query,
+        ctx, audits[branch] = attend(key_src, h, key_idx=sets,
                                      msg_mlp=blk[f"{branch}_msg"],
                                      score=blk[f"{branch}_score"])
         parts.append(ctx)

@@ -14,9 +14,10 @@ summary of its sequence. Every layer runs two phases:
 
 All softmax sets in phase 2 have fixed size K, so the per-layer pair
 count is (N+E)·W·K plus the phase-1 count (N·W_obs·K when masked), linear
-in W instead of quadratic. `HubPlan` builds every set of a forward with
-spin's `message_sets`: hub sets read a node's steps, hub-read sets read a
-node's K hubs.
+in W instead of quadratic. `HubPlan` builds every branch of a forward
+with spin's `block_sets`: a hub block is a node's K hubs reading its
+steps (Wq = K), a hub-read block is the W positions of a node reading
+the K hubs of that node or of an in-neighbor (c = K).
 
 Hubs start from one shared trainable (K, d_z) base replicated to every
 node, which keeps the model permutation-equivariant and its size
@@ -34,8 +35,8 @@ from .errors import ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
 from .spin import (D_H, N_MASKED_LAYERS, ImputationOutput, _Parameters, attend,
-                   init_states, message_sets, node_steps, position_update,
-                   run_layers, score_vector, step_sets)
+                   block_sets, init_states, node_steps, position_update,
+                   run_layers, score_vector, step_rows)
 
 N_LAYERS_H = 5
 N_HUBS = 4
@@ -47,27 +48,25 @@ class HubPlan:
     """Every message set of one spin-h forward.
 
     `masked_hub` and `open_hub`: hub (i, k) reads node i's observed steps,
-    or all W of them (sets node-major, then k). `read_self`: position
-    (i, τ) reads node i's K hubs (sets position-major). `read_cross`: it
-    reads the K hubs of each in-neighbor j, one set per edge (edge-major,
-    then τ), scattered so that edge contexts sum over in-neighbors in
-    ascending-source order. `open_hub` is built only `with_open`.
+    or all W of them, one block per node. `read_self`: position (i, τ)
+    reads node i's K hubs, one block per node. `read_cross`: it reads the
+    K hubs of each in-neighbor j, one block per edge, so that edge
+    contexts sum over in-neighbors. `open_hub` is built only `with_open`.
     """
 
     def __init__(self, input_mask, graph: SensorGraph, n_hubs, with_open):
         w, n = input_mask.shape
-        n_rows = n * n_hubs
+        nodes = np.arange(n)
+        hub_ids = nodes[:, None] * n_hubs + np.arange(n_hubs)
 
         def hub_sets(mask):
-            return message_sets(*node_steps(mask), np.repeat(np.arange(n), n_hubs),
-                                np.arange(n_rows))
+            return block_sets(*node_steps(mask), nodes, hub_ids)
 
         self.masked_hub = hub_sets(input_mask)
         self.open_hub = hub_sets(np.ones((w, n), dtype=bool)) if with_open else None
-        hubs = np.arange(n_rows), np.arange(n + 1) * n_hubs
-        self.read_self = message_sets(*hubs, np.tile(np.arange(n), w),
-                                      np.arange(w * n))
-        self.read_cross = message_sets(*hubs, *step_sets(graph.src, graph.dst, w, n))
+        hubs = hub_ids.ravel(), np.arange(n + 1) * n_hubs
+        self.read_self = block_sets(*hubs, nodes, step_rows(nodes, w, n))
+        self.read_cross = block_sets(*hubs, graph.src, step_rows(graph.dst, w, n))
 
 
 class SpinHParameters(_Parameters):
@@ -125,8 +124,7 @@ def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
     def layer(blk, h, masked):
         nonlocal z
         hub = plan.masked_hub if masked else plan.open_hub
-        c_hub, a_hub = attend(h, z, key_idx=hub.key, starts=hub.starts,
-                              query=hub.query, msg_mlp=blk["hub_msg"],
+        c_hub, a_hub = attend(h, z, key_idx=hub, msg_mlp=blk["hub_msg"],
                               score=blk["hub_score"])
         z = blk["hub_fuse"](T.concat([z, c_hub], axis=-1))
         h, pairs, audits = position_update(blk, z, h, plan.read_self,

@@ -11,10 +11,11 @@ forward evaluations (finite differences, benchmarks) cheap.
 The op set is deliberately small: add, sub, div, vabs, relu, matmul
 against a 2-D weight, concat, reshape, vsum/vmean, gather_rows (repeated
 rows sum their gradients), scatter_rows (a scatter-add), and
-attention_sets, one fused op for a whole attention branch (the message
+attention_blocks, one fused op for a whole attention branch (the message
 MLP over [key, query] pairs, per-set softmax and weighted sum, contexts
-summed onto query rows). That is enough for MLPs, softmax attention over
-variable-size message sets, and training.
+summed onto query rows) over dense blocks of sets that share their keys.
+That is enough for MLPs, softmax attention over variable-size message
+sets, and training.
 
 Every operation result must be finite; NaN or Inf raises immediately
 rather than propagating. Leaves are exempt so that deliberately poisoned
@@ -312,52 +313,60 @@ def scatter_rows(rows, idx, n_rows):
 LOGIT_SPAN = 60.0
 
 
-def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
-                   w_out, b_out, score):
-    """One attention branch over contiguous message sets, as one tape op.
+def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
+                     score):
+    """One attention branch over dense blocks of message sets, as one tape op.
 
-    Set s covers pairs starts[s]:starts[s+1], which must be non-empty,
-    and belongs to query row query[s]. Pair p of set s carries the message
-    of a two-layer MLP over [key row, query row],
+    `blocks` holds (keys, rows) pairs of intp arrays, keys (G, c) with
+    c >= 1 and rows (G, Wq). Block g holds Wq sets: the set of query row
+    rows[g, q] reads the c keys keys[g, :], rows of key_src. Its pair k
+    carries the message of a two-layer MLP over [key row, query row],
 
-        r[p] = relu(key_src[key_idx[p]] @ w_in[:dk]
-                    + query_src[query[s]] @ w_in[dk:] + b_in) @ w_out + b_out,
+        r = relu(key_src[keys[g, k]] @ w_in[:dk]
+                 + query_src[rows[g, q]] @ w_in[dk:] + b_in) @ w_out + b_out,
 
-    with dk the key width, and the logit r[p] @ score. The set's weights
-    are the softmax of its logits, shifted by their max and clamped at
-    -LOGIT_SPAN; its context is sum_p alpha[p] * r[p], added onto row
-    query[s] of the result. Sets sharing a query row (spin's cross sets
-    of every in-edge) thus sum in set order.
+    with dk the key width, and the logit r @ score. The set's weights are
+    the softmax of its c logits, shifted by their max and clamped at
+    -LOGIT_SPAN; its context sum_k alpha[k] * r[k] is added onto row
+    rows[g, q] of the result. Contexts sharing a row (spin's cross sets of
+    every in-edge) sum in set order: entry by entry of `blocks`, then g.
 
     The first layer is linear over the concatenation, so its two halves
     run once per source row, not once per pair. The output layer is
     folded past the softmax: a set's weights sum to 1, so its context is
-    (sum_p alpha[p] * hid[p]) @ w_out + b_out, and the logit is
-    hid[p] @ (w_out @ score) plus the per-set constant b_out @ score,
-    which the max shift cancels. No (P, d) message array or P-row GEMM
-    is formed, and the backward scatters query gradients once per set
-    instead of once per pair. Pair arrays are kept feature-major,
-    (hidden, P), because numpy reduces contiguous segments along the last
-    axis several times faster than along the first.
+    (sum_k alpha[k] * hid[k]) @ w_out + b_out, and the logit is
+    hid[k] @ (w_out @ score) plus the per-set constant b_out @ score,
+    which the max shift cancels. Each entry's pairs form one dense
+    (G, Wq, c, hidden) array, so the softmax and the pooling run along
+    its key axis, and the backward sums the pair gradients over the key
+    axis for the G·Wq query rows and over the query axis for the G·c key
+    rows: no row is gathered or scattered once per pair.
 
     Returns (out, alpha): a Value with query_src's row count and the
-    (P, 1) weights.
+    (P, 1) weights, entry by entry in (g, q, k) order.
     """
     key_src, query_src = as_value(key_src), as_value(query_src)
     w_in, b_in, w_out = as_value(w_in), as_value(b_in), as_value(w_out)
     b_out, score = as_value(b_out), as_value(score)
-    key_idx = np.asarray(key_idx, dtype=np.intp)
-    starts = np.asarray(starts, dtype=np.intp)
-    query = np.asarray(query, dtype=np.intp)
-    counts = np.diff(starts, append=len(key_idx))
-    if len(starts) == 0 or starts[0] != 0 or np.any(counts < 1):
-        raise EmptySetError("message sets must be non-empty and cover every pair")
+    blocks = [(np.asarray(keys, dtype=np.intp), np.asarray(rows, dtype=np.intp))
+              for keys, rows in blocks]
+    for keys, rows in blocks:
+        if keys.ndim != 2 or rows.ndim != 2 or len(keys) != len(rows):
+            raise ShapeError(f"a block needs keys (G, c) and rows (G, Wq), got "
+                             f"{keys.shape} and {rows.shape}")
+        if keys.shape[1] < 1:
+            raise EmptySetError("every message set needs at least one key")
+    rows_all = np.concatenate([rows.ravel() for _, rows in blocks])
+    hidden = w_out.data.shape[0]
 
-    # alpha outlives this call (the backward and the caller's audit read
-    # it). Allocated before the (hidden, P) temporaries, it does not split
-    # the heap space they free: perfbench's spin-impute-block read a peak
-    # RSS of 84-86 MB with alpha allocated last, 81 MB so (2-vCPU Xeon).
-    alpha = np.empty(len(key_idx))
+    # alpha and pooled outlive this call (the backward and the caller's
+    # audit read them). Allocated before the per-block temporaries and
+    # filled block by block in place, they do not split the heap space
+    # those free: perfbench's spin-impute-block read a peak RSS of 73-74 MB
+    # so, 78 MB with per-block results concatenated at the end (seed 11,
+    # 2-vCPU Xeon).
+    alpha = np.empty(sum(rows.size * keys.shape[1] for keys, rows in blocks))
+    pooled = np.empty((len(rows_all), hidden))
     dk = key_src.data.shape[-1]
     w_key, w_query = w_in.data[:dk], w_in.data[dk:]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -365,40 +374,58 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
         from_query = query_src.data @ w_query
     _check_finite(from_key)
     _check_finite(from_query)
-    hid = np.take(from_key.T, key_idx, axis=1)
-    hid += np.repeat((from_query[query] + b_in.data).T, counts, axis=1)
-    np.maximum(hid, 0.0, out=hid)
+    from_query += b_in.data
     v = np.dot(w_out.data, score.data[:, 0])
-    logit = np.dot(v, hid)
-    _check_finite(logit)
-    shifted = logit - np.repeat(np.maximum.reduceat(logit, starts), counts)
-    inside = shifted >= -LOGIT_SPAN
-    e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
-    np.divide(e, np.repeat(np.add.reduceat(e, starts), counts), out=alpha)
-    pooled = np.add.reduceat(hid * alpha, starts, axis=1)
-    ctx = pooled.T @ w_out.data
+    kept, p, s = [], 0, 0  # per block: hid, inside, alpha view, pooled rows
+    for keys, rows in blocks:
+        (g, wq), c = rows.shape, keys.shape[1]
+        hid = from_query[rows][:, :, None, :] + from_key[keys][:, None, :, :]
+        np.maximum(hid, 0.0, out=hid)
+        logit = (hid.reshape(-1, hidden) @ v).reshape(g, wq, c)
+        _check_finite(logit)
+        shifted = logit - logit.max(axis=-1, keepdims=True)
+        inside = shifted >= -LOGIT_SPAN
+        e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
+        a = alpha[p:p + e.size].reshape(g, wq, c)
+        np.divide(e, e.sum(axis=-1, keepdims=True), out=a)
+        sets = slice(s, s + g * wq)
+        np.matmul(a[:, :, None, :], hid, out=pooled[sets].reshape(g, wq, 1, hidden))
+        kept.append((hid, inside, a, sets))
+        p, s = p + e.size, s + g * wq
+    ctx = pooled @ w_out.data
     ctx += b_out.data
-    data = _scatter_add(ctx, query, query_src.data.shape[0])
+    data = _scatter_add(ctx, rows_all, query_src.data.shape[0])
 
     def backfn(g):
-        g = g[query]
-        g_hid = np.repeat(w_out.data @ g.T, counts, axis=1)
-        g_alpha = np.einsum("hp,hp->p", g_hid, hid)
-        g_logit = g_alpha - np.repeat(np.add.reduceat(alpha * g_alpha, starts),
-                                      counts)
-        g_logit *= alpha
-        g_logit *= inside
-        g_v = np.dot(hid, g_logit)
-        g_hid *= alpha
-        g_hid += np.outer(v, g_logit)
-        g_hid *= hid > 0.0
-        g_w_out = pooled @ g
+        g = g[rows_all]
+        g_pooled = g @ w_out.data.T
+        g_v = np.zeros(hidden)
+        g_fq = np.empty_like(g_pooled)
+        keys_all = np.concatenate([keys.ravel() for keys, _ in blocks])
+        g_fk = np.empty((len(keys_all), hidden))
+        k = 0
+        for (keys, rows), (hid, inside, a, sets) in zip(blocks, kept):
+            gp = g_pooled[sets].reshape(rows.shape + (1, hidden))
+            g_alpha = np.matmul(hid, gp.swapaxes(-1, -2))[..., 0]
+            g_logit = g_alpha - (a * g_alpha).sum(axis=-1, keepdims=True)
+            g_logit *= a
+            g_logit *= inside
+            g_v += g_logit.ravel() @ hid.reshape(-1, hidden)
+            # a pair's gradient a * gp + g_logit * v is a rank-2 product,
+            # which one batched matmul forms faster than two broadcasts
+            g_hid = (np.stack([a, g_logit], axis=-1)
+                     @ np.concatenate([gp, np.broadcast_to(v, gp.shape)], axis=2))
+            g_hid *= hid > 0.0
+            g_fq[sets] = g_hid.sum(axis=2).reshape(-1, hidden)
+            g_fk[k:k + keys.size] = g_hid.sum(axis=1).reshape(-1, hidden)
+            k += keys.size
+        g_w_out = pooled.T @ g
         g_w_out += np.outer(g_v, score.data[:, 0])
-        g_fq = _scatter_add(np.add.reduceat(g_hid, starts, axis=1).T,
-                            query, query_src.data.shape[0])
-        g_fk = _scatter_add(g_hid.T, key_idx, key_src.data.shape[0])
+        g_fq = _scatter_add(g_fq, rows_all, query_src.data.shape[0])
+        g_b_in = g_fq.sum(axis=0)
+        g_fk = _scatter_add(g_fk, keys_all, key_src.data.shape[0])
         g_w_in = np.concatenate([key_src.data.T @ g_fk, query_src.data.T @ g_fq])
-        return (g_fq @ w_query.T, g_fk @ w_key.T, g_w_in, g_hid.sum(axis=1),
+        return (g_fq @ w_query.T, g_fk @ w_key.T, g_w_in, g_b_in,
                 g_w_out, g.sum(axis=0), np.dot(w_out.data.T, g_v)[:, None])
 
     # query_src comes first: where it is also key_src (spin), its gradient

@@ -163,6 +163,8 @@ BAD_INPUTS = {
         break_line("distances", 2, "1,5,1"), "distances", "diagonal"),
     "negative distance": (
         break_line("distances", 1, "0,-1,2"), "distances", "non-negative"),
+    "gamma underflowing an edge weight": (
+        break_config("data", "gamma", 0.001), "distances", "'data.gamma'"),
     "distance matrix not N x N": (
         lambda paths, doc: paths["distances"].write_text("0,1\n1,0\n2,1\n"),
         "distances", "3x2"),

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from graphfill.errors import ShapeError, ValidationError
+from graphfill.errors import KernelError, ShapeError, ValidationError
 from graphfill.graph import (SensorGraph, build_adjacency_gaussian,
                              khop_subgraph, load_distances_csv, load_edges_csv)
 
@@ -103,6 +103,14 @@ def test_gaussian_weights_decrease_with_distance():
     for s, d, w in g.edges:
         assert abs(w - np.exp(-dist[s, d] ** 2 / 0.1)) < 1e-15
         assert 0.0 < w <= 1.0
+
+
+def test_gaussian_weight_underflow_names_gamma_and_edge():
+    dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(KernelError, match=r"gamma 0\.001 underflows .* edge \(0,1\)"):
+        build_adjacency_gaussian(dist, gamma=0.001, delta=1.5)
+    with pytest.raises(KernelError, match="gamma must be > 0"):
+        build_adjacency_gaussian(dist, gamma=0.0, delta=1.5)
 
 
 def test_khop_zero_keeps_seeds_only():

@@ -297,25 +297,25 @@ def test_window_graph_shape_mismatch():
         spin_forward(window, other, params)
 
 
-def naive_sets(sets):
-    """Index arrays of (keys, query) sets built one set at a time."""
-    key, starts, query = [], [], []
-    for keys, q in sets:
-        if not keys:
-            continue  # an empty set is absent
-        starts.append(len(key))
-        key += keys
-        query.append(q)
-    return [np.array(a, dtype=np.intp) for a in (key, starts, query)]
+def block_set_list(got):
+    """(keys, query row) of every set in a MessageSets record's blocks."""
+    out = []
+    for keys, rows in got.blocks:
+        assert keys.dtype == rows.dtype == np.intp
+        assert keys.ndim == rows.ndim == 2 and len(keys) == len(rows)
+        for g in range(len(keys)):
+            out += [(keys[g].tolist(), int(q)) for q in rows[g]]
+    return out
 
 
 def assert_sets_equal(got, sets):
-    want = naive_sets(sets)
-    for name, a, b in zip(("key", "starts", "query"),
-                          (got.key, got.starts, got.query), want):
-        assert a.dtype == np.intp, name
-        assert np.array_equal(a, b), name
-    assert got.n_pairs == len(want[0])
+    """`got` holds exactly the non-empty sets of `sets`, each once, in
+    blocks of one key count each."""
+    want = [(keys, q) for keys, q in sets if keys]  # an empty set is absent
+    assert sorted(block_set_list(got)) == sorted(want)
+    counts = [keys.shape[1] for keys, _ in got.blocks]
+    assert min(counts, default=1) >= 1 and len(set(counts)) == len(counts)
+    assert got.n_pairs == len(got) == sum(len(keys) for keys, _ in want)
 
 
 def test_plan_masked_sets_only_cover_observed_keys():
@@ -339,20 +339,28 @@ def test_plan_masked_sets_only_cover_observed_keys():
             steps = [[s for s in range(w) if mask[s, i] or not masked]
                      for i in range(n)]
             self_sets, cross_sets = build_attention_plan(mask, graph, masked)
+            hub_sets = plan.masked_hub if masked else plan.open_hub
             assert_sets_equal(self_sets, [([s * n + i for s in steps[i]], t * n + i)
                                           for i in range(n) for t in range(w)])
             assert_sets_equal(cross_sets, [([s * n + j for s in steps[j]], t * n + i)
                                            for j, i in edges for t in range(w)])
-            assert_sets_equal(plan.masked_hub if masked else plan.open_hub,
-                              [([s * n + i for s in steps[i]], i * n_hubs + k)
-                               for i in range(n) for k in range(n_hubs)])
+            assert_sets_equal(hub_sets, [([s * n + i for s in steps[i]], i * n_hubs + k)
+                                         for i in range(n) for k in range(n_hubs)])
+            # closed form: c_i keys per set, W sets per node and edge, K per node
+            c = np.array([len(steps[i]) for i in range(n)])
+            assert self_sets.n_pairs == w * c.sum()
+            assert cross_sets.n_pairs == w * c[graph.src].sum()
+            assert hub_sets.n_pairs == n_hubs * c.sum()
             if masked:
-                counts = np.diff(self_sets.starts, append=self_sets.n_pairs)
-                for k, q in zip(self_sets.key, np.repeat(self_sets.query, counts)):
-                    assert k % n == q % n           # same node
-                    assert mask[k // n, k % n] == 1  # key step observed
-                for k in cross_sets.key:
-                    assert mask[k // n, k % n] == 1
+                for keys, rows in self_sets.blocks:  # a row reads its node's
+                    assert np.all(keys[:, :, None] % n == rows[:, None, :] % n)
+                    assert np.all(mask[keys // n, keys % n] == 1)  # observed steps
+                for keys, _ in cross_sets.blocks + hub_sets.blocks:
+                    assert np.all(mask[keys // n, keys % n] == 1)
+                for i in np.flatnonzero(c == 0):  # no block for a silent node
+                    assert not any(np.any(rows % n == i) for _, rows in self_sets.blocks)
+                    assert not any(np.any(rows // n_hubs == i)
+                                   for _, rows in hub_sets.blocks)
         hubs = [[j * n_hubs + k for k in range(n_hubs)] for j in range(n)]
         assert_sets_equal(plan.read_self, [(hubs[p % n], p) for p in range(w * n)])
         assert_sets_equal(plan.read_cross, [(hubs[j], t * n + i)

@@ -1,12 +1,18 @@
-"""Ops that only the tests use, and the unfused attention chain.
+"""Ops that only the tests use, and two references for block attention.
 
-`graphfill.tensor.attention_sets` computes one attention branch as a
-single tape op. The chain it replaced, built from the small ops below
-(row slices of the first-layer weight, per-pair messages, score matmul,
-per-set softmax, weighted per-set sum, scatter onto query rows), is the
-reference the tests compare it against; `unfused_attention` wires that
-chain up exactly as the package did before the fusion. `mul` is the
-elementwise product, which the package itself does not need.
+`graphfill.tensor.attention_blocks` computes one attention branch over
+dense (G, Wq, c) blocks as a single tape op. The tests compare it with
+two older paths, both over flat message sets (key_idx, starts, query):
+
+* `unfused_attention`, the chain of small ops below (row slices of the
+  first-layer weight, per-pair messages, score matmul, per-set softmax,
+  weighted per-set sum, scatter onto query rows), wired up exactly as
+  the package did before any fusion;
+* `attention_sets`, the fused flat op that came next, one row per
+  (key, query) pair.
+
+`flat_sets` turns blocks into those flat sets. `mul` is the elementwise
+product, which the package itself does not need.
 """
 
 from __future__ import annotations
@@ -204,3 +210,96 @@ def unfused_attention(key_src, query_src, key_idx, starts, query, w_in, b_in,
     alpha = segment_softmax(T.matmul(r, score), starts)
     ctx = segment_weighted_sum(alpha, r, starts)
     return T.scatter_rows(ctx, query, query_src.data.shape[0]), alpha.data
+
+
+def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
+                   w_out, b_out, score):
+    """The flat fused op `attention_blocks` replaced, with its results.
+
+    Set s covers pairs starts[s]:starts[s+1], which must be non-empty,
+    and belongs to query row query[s]; pair p reads key row key_idx[p].
+    Pair arrays are (hidden, P): every (key, query) pair is gathered,
+    repeated, segment-reduced with `reduceat` and scattered one row at a
+    time. Returns (out, alpha) as `attention_blocks` does.
+    """
+    key_src, query_src = T.as_value(key_src), T.as_value(query_src)
+    w_in, b_in, w_out = T.as_value(w_in), T.as_value(b_in), T.as_value(w_out)
+    b_out, score = T.as_value(b_out), T.as_value(score)
+    key_idx = np.asarray(key_idx, dtype=np.intp)
+    starts = np.asarray(starts, dtype=np.intp)
+    query = np.asarray(query, dtype=np.intp)
+    counts = np.diff(starts, append=len(key_idx))
+    if len(starts) == 0 or starts[0] != 0 or np.any(counts < 1):
+        raise EmptySetError("message sets must be non-empty and cover every pair")
+
+    alpha = np.empty(len(key_idx))
+    dk = key_src.data.shape[-1]
+    w_key, w_query = w_in.data[:dk], w_in.data[dk:]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        from_key = key_src.data @ w_key
+        from_query = query_src.data @ w_query
+    T._check_finite(from_key)
+    T._check_finite(from_query)
+    hid = np.take(from_key.T, key_idx, axis=1)
+    hid += np.repeat((from_query[query] + b_in.data).T, counts, axis=1)
+    np.maximum(hid, 0.0, out=hid)
+    v = np.dot(w_out.data, score.data[:, 0])
+    logit = np.dot(v, hid)
+    T._check_finite(logit)
+    shifted = logit - np.repeat(np.maximum.reduceat(logit, starts), counts)
+    inside = shifted >= -T.LOGIT_SPAN
+    e = np.exp(np.maximum(shifted, -T.LOGIT_SPAN, out=shifted), out=shifted)
+    np.divide(e, np.repeat(np.add.reduceat(e, starts), counts), out=alpha)
+    pooled = np.add.reduceat(hid * alpha, starts, axis=1)
+    ctx = pooled.T @ w_out.data
+    ctx += b_out.data
+    data = T._scatter_add(ctx, query, query_src.data.shape[0])
+
+    def backfn(g):
+        g = g[query]
+        g_hid = np.repeat(w_out.data @ g.T, counts, axis=1)
+        g_alpha = np.einsum("hp,hp->p", g_hid, hid)
+        g_logit = g_alpha - np.repeat(np.add.reduceat(alpha * g_alpha, starts),
+                                      counts)
+        g_logit *= alpha
+        g_logit *= inside
+        g_v = np.dot(hid, g_logit)
+        g_hid *= alpha
+        g_hid += np.outer(v, g_logit)
+        g_hid *= hid > 0.0
+        g_w_out = pooled @ g
+        g_w_out += np.outer(g_v, score.data[:, 0])
+        g_fq = T._scatter_add(np.add.reduceat(g_hid, starts, axis=1).T,
+                            query, query_src.data.shape[0])
+        g_fk = T._scatter_add(g_hid.T, key_idx, key_src.data.shape[0])
+        g_w_in = np.concatenate([key_src.data.T @ g_fk, query_src.data.T @ g_fq])
+        return (g_fq @ w_query.T, g_fk @ w_key.T, g_w_in, g_hid.sum(axis=1),
+                g_w_out, g.sum(axis=0), np.dot(w_out.data.T, g_v)[:, None])
+
+    # query_src comes first: where it is also key_src (spin), its gradient
+    # adds the query part before the key part. The order is part of the
+    # result: the other one changes trained parameters in the last bits.
+    out = T._make_output(data, (query_src, key_src, w_in, b_in, w_out, b_out,
+                                score), backfn)
+    return out, alpha[:, None]
+
+
+def flat_sets(blocks):
+    """(key_idx, starts, query) of the sets in `blocks`, in block order."""
+    key_idx, counts, query = [], [], []
+    for keys, rows in blocks:
+        keys, rows = np.asarray(keys), np.asarray(rows)
+        key_idx.append(np.repeat(keys[:, None, :], rows.shape[1], axis=1).ravel())
+        counts.append(np.full(rows.size, keys.shape[1]))
+        query.append(rows.ravel())
+    counts = np.concatenate(counts)
+    return (np.concatenate(key_idx).astype(np.intp),
+            (np.cumsum(counts) - counts).astype(np.intp),
+            np.concatenate(query).astype(np.intp))
+
+
+def on_blocks(flat_op):
+    """`flat_op` behind the signature of `attention_blocks`."""
+    def op(key_src, query_src, blocks, *weights):
+        return flat_op(key_src, query_src, *flat_sets(blocks), *weights)
+    return op
