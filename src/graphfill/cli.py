@@ -28,10 +28,9 @@ from .checkpoint import load_params, save_params
 from .config import InjectConfig, RunConfig, build_params, load_run_config
 from .data import (Dataset, atomic_write, inject_block_missing,
                    inject_point_missing, inject_sparsity_sweep, load_dataset,
-                   normalize, save_grid_csv, split_slices)
-from .errors import GraphfillError, KernelError, ValidationError
-from .graph import (SensorGraph, build_adjacency_gaussian, load_distances_csv,
-                    load_edges_csv)
+                   load_grid_csv, normalize, save_grid_csv, split_slices)
+from .errors import FieldError, GraphfillError, KernelError, ValidationError
+from .graph import SensorGraph, build_adjacency_gaussian, load_edges_csv
 from .spin import spin_forward
 from .spin_h import spinh_forward
 from .synth import (geometric_positions, pairwise_distances, suggest_kernel,
@@ -57,7 +56,7 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
 def build_graph(cfg: RunConfig, n_nodes: int) -> SensorGraph:
     data = cfg.data
     if data.distances_csv is not None:
-        distances = load_distances_csv(data.distances_csv)
+        distances = load_grid_csv(data.distances_csv)
         if distances.shape != (n_nodes, n_nodes):
             raise ValidationError(
                 f"{data.distances_csv}: distance matrix is {distances.shape[0]}x"
@@ -65,7 +64,7 @@ def build_graph(cfg: RunConfig, n_nodes: int) -> SensorGraph:
         try:
             return build_adjacency_gaussian(distances, data.gamma, data.delta)
         except KernelError as exc:
-            raise ValidationError(
+            raise FieldError(
                 f"'data.gamma' does not fit {data.distances_csv}: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{data.distances_csv}: {exc}") from None
@@ -86,8 +85,8 @@ def apply_inject(dataset: Dataset, inject: InjectConfig):
         return dataset
     mask, dropped = INJECTORS[inject.policy](dataset.mask, rng=inject.seed,
                                              **inject.params)
-    return dataset.replace(mask=mask,
-                           eval_mask=(dataset.eval_mask | dropped).astype(np.uint8))
+    return replace(dataset, mask=mask,
+                   eval_mask=(dataset.eval_mask | dropped).astype(np.uint8))
 
 
 def prepare(cfg: RunConfig):
@@ -327,7 +326,8 @@ def main(argv=None) -> int:
                          "config": cfg.to_dict()})
         return code
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{args.config}: " if isinstance(exc, FieldError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, FileExistsError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:

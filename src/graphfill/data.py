@@ -91,14 +91,11 @@ class Dataset:
     def n_nodes(self) -> int:
         return self.values.shape[1]
 
-    def replace(self, **kw):
-        return replace(self, **kw)
-
     def rows(self, sl):
         """The steps in slice `sl`, with the same stats and columns."""
-        return self.replace(values=self.values[sl], mask=self.mask[sl],
-                            eval_mask=self.eval_mask[sl],
-                            timestamps=self.timestamps[sl])
+        return replace(self, values=self.values[sl], mask=self.mask[sl],
+                       eval_mask=self.eval_mask[sl],
+                       timestamps=self.timestamps[sl])
 
     def window(self, start, width) -> SpatioTemporalWindow:
         """Steps start:start+width as a window of views into this dataset."""
@@ -290,7 +287,7 @@ def normalize(dataset: Dataset, train_slice=None):
     defined = (dataset.mask | dataset.eval_mask).astype(bool)
     values = dataset.values.copy()
     values[defined] = stats.apply(values[defined])
-    return dataset.replace(values=values, stats=stats), stats
+    return replace(dataset, values=values, stats=stats), stats
 
 
 def make_windows(dataset: Dataset, width: int, stride: int):

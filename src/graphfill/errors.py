@@ -25,6 +25,10 @@ class ValidationError(GraphfillError):
     """Invalid configuration or input data; maps to CLI exit code 1."""
 
 
+class FieldError(ValidationError):
+    """A config field does not fit the data; the CLI names the config file."""
+
+
 class KernelError(ValidationError):
     """A Gaussian-kernel parameter does not fit the distances it weights."""
 

@@ -22,14 +22,13 @@ from collections import deque
 import numpy as np
 
 from .data import cell_error
-from .data import load_grid_csv as load_distances_csv  # the N×N distance reader
 from .errors import KernelError, ShapeError, ValidationError
 
 
 class SensorGraph:
     """Immutable weighted directed graph over sensor nodes 0..N-1."""
 
-    def __init__(self, n_nodes: int, edges, distances=None):
+    def __init__(self, n_nodes: int, edges):
         if n_nodes <= 0:
             raise ValidationError(f"graph needs at least one node, got {n_nodes}")
         self.n_nodes = int(n_nodes)
@@ -49,9 +48,6 @@ class SensorGraph:
         self.src = np.array([s for s, _, _ in edges], dtype=np.intp)
         self.dst = np.array([d for _, d, _ in edges], dtype=np.intp)
         self.weight = np.array([w for _, _, w in edges], dtype=np.float64)
-        self.distances = None
-        if distances is not None:
-            self.distances = np.asarray(distances, dtype=np.float64)
         # edges are sorted by dst, so each node's in-edges form one slice
         self._in_start = np.searchsorted(self.dst, np.arange(n_nodes + 1))
 
@@ -105,7 +101,7 @@ def build_adjacency_gaussian(distances, gamma: float, delta: float) -> SensorGra
                         f"gamma {gamma} underflows the weight exp(-d^2/gamma) "
                         f"of edge ({i},{j}) at distance {dist[i, j]:g} to 0")
                 edges.append((i, j, weight))
-    return SensorGraph(n, edges, distances=dist)
+    return SensorGraph(n, edges)
 
 
 def khop_subgraph(graph: SensorGraph, seeds, k: int):

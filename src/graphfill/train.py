@@ -15,13 +15,15 @@ data units before reporting.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
 from .data import (DEFAULT_SPLIT, Dataset, SpatioTemporalWindow, make_windows,
                    split_slices, training_whiten)
-from .errors import (DivergenceError, EmptySetError, MetricError,
+from .errors import (DivergenceError, EmptySetError, FieldError, MetricError,
                      NonFiniteError, ValidationError)
 from .graph import SensorGraph, khop_subgraph
 from .optim import AdamState, adam_step, clip_global_norm, lr_schedule
@@ -80,6 +82,74 @@ def _column_subset_window(win, cols):
                                 step_offsets=win.step_offsets, nodes=cols)
 
 
+@dataclass
+class TrainState:
+    """Everything the training loop carries from one step to the next."""
+    params: object
+    rng: np.random.Generator
+    adam: AdamState
+    best_state: list
+    step: int = 0
+    epoch: int = 0
+    history: list = field(default_factory=list)
+    best_val: float = np.inf
+    bad_epochs: int = 0
+
+
+def draw_batch(rng, train_view: Dataset, graph: SensorGraph,
+               config: TrainConfig):
+    """One step's (batch_graph, [(window, input_mask, loss_mask)]): windows
+    with nothing observed, or no loss target on a seed node, are left out."""
+    offsets = rng.integers(0, train_view.n_steps - config.width + 1,
+                           size=config.batch_size)
+    windows = [train_view.window(off, config.width) for off in offsets]
+    batch_graph, seed_mask = graph, None
+    if config.subsample is not None:
+        seeds = rng.choice(graph.n_nodes, size=min(config.subsample.n_seeds,
+                                                   graph.n_nodes), replace=False)
+        batch_graph, node_map, seed_mask = khop_subgraph(
+            graph, seeds, config.subsample.k_hops)
+        cols = np.array(sorted(node_map), dtype=np.intp)
+        windows = [_column_subset_window(win, cols) for win in windows]
+    batch = []
+    for win in windows:
+        try:
+            input_mask, loss_mask = training_whiten(win, rng=rng)
+        except ValidationError:
+            continue  # nothing observed in this window; skip it
+        if np.any(loss_mask & win.eval_mask):
+            raise ValidationError(
+                "whiten produced loss targets on evaluation entries")
+        if seed_mask is not None:
+            loss_mask = loss_mask * seed_mask.astype(np.uint8)[None, :]
+            if not loss_mask.any():
+                continue
+        batch.append((win, input_mask, loss_mask))
+    return batch_graph, batch
+
+
+def train_step(state: TrainState, graph: SensorGraph, batch, lr) -> float:
+    """One optimizer step on one tape; returns the batch's loss, the mean
+    over its windows of `spin_loss` (a sum over layers)."""
+    fwd = forward_fn(state.params)
+    try:
+        with T.Tape():
+            acc = None
+            for win, input_mask, loss_mask in batch:
+                out = fwd(win, graph, state.params, input_mask=input_mask)
+                term = spin_loss(out, win.values, loss_mask)
+                acc = term if acc is None else T.add(acc, term)
+            loss = T.div(acc, float(len(batch)))
+            T.backward(loss)
+    except NonFiniteError as exc:
+        raise DivergenceError(f"non-finite loss at epoch {state.epoch}, "
+                              f"step {state.step}: {exc}") from exc
+    clip_global_norm(state.adam.params, GRAD_CLIP_NORM)
+    adam_step(state.adam, lr)
+    state.step += 1
+    return float(loss.data)
+
+
 def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
           progress=None):
     """Fit `params` in place; returns (params, history, best_val_mae).
@@ -89,12 +159,11 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     """
     T._keep_large_allocations_on_heap()
     config.validate()
-    rng = np.random.default_rng(config.seed)
     train_sl, val_sl, _ = split_slices(dataset.n_steps, config.split)
-    n_train_steps = train_sl.stop - train_sl.start
-    if n_train_steps < config.width:
-        raise ValidationError(
-            f"training split has {n_train_steps} steps, need >= {config.width}")
+    for name, sl in (("training", train_sl), ("validation", val_sl)):
+        if sl.stop - sl.start < config.width:
+            raise FieldError(f"'data.W' ({config.width}) exceeds the {name} "
+                             f"split's {sl.stop - sl.start} steps")
     train_view = dataset.rows(train_sl)
     val_windows = make_windows(dataset.rows(val_sl), config.width, config.stride)
     val_masks = _val_input_and_loss_masks(val_windows, config.seed)
@@ -102,91 +171,37 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
         raise ValidationError("validation split has no usable windows")
 
     param_list = params.parameters()
-    adam = AdamState(param_list)
-    fwd = forward_fn(params)
-    max_offset = n_train_steps - config.width
-    history = []
-    best_val = np.inf
-    best_state = [p.data.copy() for p in param_list]
-    bad_epochs = 0
-    step = 0
-
+    state = TrainState(params=params, rng=np.random.default_rng(config.seed),
+                       adam=AdamState(param_list),
+                       best_state=[p.data.copy() for p in param_list])
     for epoch in range(1, config.epochs_max + 1):
-        epoch_losses = []
-        lr = 0.0
+        state.epoch = epoch
+        losses, lr = [], 0.0
         for _ in range(config.batches_per_epoch):
-            offsets = rng.integers(0, max_offset + 1, size=config.batch_size)
-            windows = [train_view.window(off, config.width) for off in offsets]
-            batch_graph, node_map, seed_mask = graph, None, None
-            if config.subsample is not None:
-                seeds = rng.choice(graph.n_nodes,
-                                   size=min(config.subsample.n_seeds,
-                                            graph.n_nodes), replace=False)
-                batch_graph, node_map, seed_mask = khop_subgraph(
-                    graph, seeds, config.subsample.k_hops)
-                cols = np.array(sorted(node_map), dtype=np.intp)
-                windows = [_column_subset_window(win, cols) for win in windows]
-
-            pairs = []
-            for win in windows:
-                try:
-                    input_mask, loss_mask = training_whiten(win, rng=rng)
-                except ValidationError:
-                    continue  # nothing observed in this window; skip it
-                if np.any(loss_mask & win.eval_mask):
-                    raise ValidationError(
-                        "whiten produced loss targets on evaluation entries")
-                if seed_mask is not None:
-                    loss_mask = loss_mask * seed_mask.astype(np.uint8)[None, :]
-                    if not loss_mask.any():
-                        continue
-                pairs.append((win, input_mask, loss_mask))
-            if not pairs:
-                continue
-
-            try:
-                with T.Tape():
-                    acc = None
-                    for win, input_mask, loss_mask in pairs:
-                        out = fwd(win, batch_graph, params, input_mask=input_mask)
-                        term = spin_loss(out, win.values, loss_mask)
-                        acc = term if acc is None else T.add(acc, term)
-                    loss = T.div(acc, float(len(pairs)))
-                    loss_value = float(loss.data)
-                    T.backward(loss)
-            except NonFiniteError as exc:
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {step}: {exc}") from exc
-            if not np.isfinite(loss_value):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {step}")
-
-            clip_global_norm(param_list, GRAD_CLIP_NORM)
-            lr = lr_schedule(step, epoch - 1, base_lr=config.lr,
-                             warmup_steps=config.warmup_steps,
-                             restart_period_epochs=config.restart_period)
-            adam_step(adam, lr)
-            step += 1
-            epoch_losses.append(loss_value)
+            batch_graph, batch = draw_batch(state.rng, train_view, graph, config)
+            if batch:
+                lr = lr_schedule(state.step, epoch - 1, base_lr=config.lr,
+                                 warmup_steps=config.warmup_steps,
+                                 restart_period_epochs=config.restart_period)
+                losses.append(train_step(state, batch_graph, batch, lr))
 
         val_mae = _validation_mae(val_windows, val_masks, graph, params)
-        train_loss = float(np.mean(epoch_losses)) if epoch_losses else np.nan
-        history.append({"epoch": epoch, "train_loss": train_loss,
-                        "val_mae": val_mae, "lr": lr})
+        train_loss = float(np.mean(losses)) if losses else np.nan
+        state.history.append({"epoch": epoch, "train_loss": train_loss,
+                              "val_mae": val_mae, "lr": lr})
         if progress is not None:
-            progress(history[-1])
-        if val_mae < best_val:
-            best_val = val_mae
-            best_state = [p.data.copy() for p in param_list]
-            bad_epochs = 0
+            progress(state.history[-1])
+        if val_mae < state.best_val:
+            state.best_val, state.bad_epochs = val_mae, 0
+            state.best_state = [p.data.copy() for p in param_list]
         else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
+            state.bad_epochs += 1
+            if state.bad_epochs >= config.patience:
                 break
 
-    for p, best in zip(param_list, best_state):
+    for p, best in zip(param_list, state.best_state):
         p.data = best.copy()
-    return params, history, best_val
+    return params, state.history, state.best_val
 
 
 def _validation_mae(val_windows, val_masks, graph, params):

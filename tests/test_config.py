@@ -125,7 +125,8 @@ def break_line(name, line, text):
 
 
 BAD_INPUTS = {
-    # name: (how to break the valid inputs, file named, what stderr names)
+    # name: (how to break the valid inputs, file or files named (the first
+    # opens the message), what stderr names)
     "list field given a string": (
         break_config("synth", "periods", "ab"), "config", "'synth.periods'"),
     "split given a number": (
@@ -164,7 +165,14 @@ BAD_INPUTS = {
     "negative distance": (
         break_line("distances", 1, "0,-1,2"), "distances", "non-negative"),
     "gamma underflowing an edge weight": (
-        break_config("data", "gamma", 0.001), "distances", "'data.gamma'"),
+        break_config("data", "gamma", 0.001), ("config", "distances"),
+        "'data.gamma'"),
+    "W longer than the validation split": (
+        break_config("data", "W", 8), "config",
+        "'data.W' (8) exceeds the validation split's 6 steps"),
+    "W longer than the training split": (
+        break_config("data", "split", [0.05, 0.75, 0.2]), "config",
+        "'data.W' (4) exceeds the training split's 3 steps"),
     "distance matrix not N x N": (
         lambda paths, doc: paths["distances"].write_text("0,1\n1,0\n2,1\n"),
         "distances", "3x2"),
@@ -193,8 +201,10 @@ def test_bad_input_exits_1_naming_file_and_field(case, files, capsys):
     config.write_text(json.dumps(doc))
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    path = config if culprit == "config" else paths[culprit]
-    assert str(path) in err and named in err, err
+    files = [config if c == "config" else paths[c]
+             for c in (culprit if isinstance(culprit, tuple) else (culprit,))]
+    assert err.startswith(f"error: {files[0]}"), err
+    assert all(str(path) in err for path in files) and named in err, err
 
 
 def test_valid_inputs_train(files):

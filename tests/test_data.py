@@ -1,5 +1,6 @@
 """Dataset IO, normalization, windowing, missing-data injection, whiten."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -209,7 +210,7 @@ def test_sweep_p95_leaves_5_percent():
 def test_whiten_fraction_and_disjointness():
     ds = small_dataset(t=24, n=8, seed=2)
     mask, eval_mask = inject_point_missing(ds.mask, rate=0.2, rng=4)
-    ds = ds.replace(mask=mask, eval_mask=eval_mask)
+    ds = dataclasses.replace(ds, mask=mask, eval_mask=eval_mask)
     win = make_windows(ds, 24, 24)[0]
     for p in WHITEN_LEVELS:
         input_mask, loss_mask = training_whiten(win, rng=1, p=p)

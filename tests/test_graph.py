@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from graphfill.data import load_grid_csv
 from graphfill.errors import KernelError, ShapeError, ValidationError
 from graphfill.graph import (SensorGraph, build_adjacency_gaussian,
-                             khop_subgraph, load_distances_csv, load_edges_csv)
+                             khop_subgraph, load_edges_csv)
 
 
 def save_edges_csv(path, graph: SensorGraph):
@@ -77,7 +78,6 @@ def test_gaussian_kernel_adjacency():
     assert abs(w01[(0, 1)] - np.exp(-1.0 / 2.0)) < 1e-15
     assert abs(w01[(1, 2)] - np.exp(-(1.5 ** 2) / 2.0)) < 1e-15
     assert (0, 0) not in w01  # no diagonal edge even though d=0 <= delta
-    assert g.distances is not None
 
 
 def test_gaussian_kernel_validation():
@@ -191,7 +191,7 @@ def test_distances_csv_round_trip(tmp_path):
     dist = np.sqrt((diff ** 2).sum(-1))
     path = os.path.join(tmp_path, "dist.csv")
     save_grid_csv(path, dist)
-    back = load_distances_csv(path)
+    back = load_grid_csv(path)
     assert np.array_equal(back, dist)
 
 
@@ -200,4 +200,4 @@ def test_distances_csv_ragged_rejected(tmp_path):
     with open(path, "w") as f:
         f.write("0,1.0\n1.0\n")
     with pytest.raises(ValidationError):
-        load_distances_csv(path)
+        load_grid_csv(path)
