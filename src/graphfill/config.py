@@ -254,11 +254,6 @@ class TrainConfig:
     stride: int = opt(None, default=DEFAULT_W, **WINDOW)
     split: tuple = opt(None, **SPLIT)
 
-    def __post_init__(self):
-        if isinstance(self.subsample, dict):  # as callers in code pass it
-            self.subsample = parse(SubsampleConfig, self.subsample,
-                                   "train.subsample")
-
     def validate(self):
         """Re-run the field checks on this (possibly hand-built) config and
         require patience <= epochs_max, so early stopping can trigger."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MetricError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 BLANK_CELLS = ("", "nan", "NaN")  # a values.csv cell that means "missing"
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)  # train/val/test fractions
@@ -129,6 +129,74 @@ class SpatioTemporalWindow:
         return self.values.shape[1]
 
 
+def _value_cell(cell):
+    """A values.csv cell: a float, or NaN for a blank or `nan` cell."""
+    return np.nan if cell.strip() in BLANK_CELLS else float(cell)
+
+
+def _mask_cell(cell):
+    """A mask cell: any number equal to 0 or 1."""
+    x = float(cell)
+    if x != 0.0 and x != 1.0:
+        raise ValueError(f"{cell!r} is not 0 or 1")
+    return x
+
+
+def _distance_cell(cell):
+    """A distance cell: a float that is not NaN (inf means "no edge")."""
+    x = float(cell)
+    if x != x:
+        raise ValueError(f"{cell!r} is not a distance")
+    return x
+
+
+def read_csv(path, rule, header=False):
+    """(header, rows, lines) of the CSV file `path`, each cell parsed by `rule`.
+
+    Blank lines are skipped. `header` is False for a headerless grid,
+    True when the first line holds column names, or the tuple of names it
+    must hold. The header, or else the first row, sets the row width.
+    `rule` parses one cell and raises ValueError on a bad one; a tuple of
+    rules gives one per column. lines[k] is the physical line of rows[k].
+    A ragged row or a rejected cell raises a ValidationError naming the
+    file, the line (counting from 1, the header and blank lines included)
+    and, for a cell, the column (counting from 1).
+    """
+    rows, lines = [], []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        names = next(reader, None) if header else None
+        if header and names is None:
+            raise ValidationError(f"{path} is empty")
+        if isinstance(header, tuple) and [h.strip() for h in names] != list(header):
+            raise ValidationError(
+                f"{path}: row 1: the header must be {','.join(header)!r}")
+        rules = None if names is None else _column_rules(rule, len(names))
+        for row in reader:
+            if not row:
+                continue
+            if rules is None:
+                rules = _column_rules(rule, len(row))
+            if len(row) != len(rules):
+                raise ValidationError(f"{path}: row {reader.line_num} has "
+                                      f"{len(row)} cells, expected {len(rules)}")
+            try:
+                rows.append([parse(cell) for parse, cell in zip(rules, row)])
+            except ValueError:  # only a failing row is parsed cell by cell
+                for col, (parse, cell) in enumerate(zip(rules, row), start=1):
+                    try:
+                        parse(cell)
+                    except ValueError as exc:
+                        raise ValidationError(f"{path}: row {reader.line_num}, "
+                                              f"column {col}: {exc}") from None
+            lines.append(reader.line_num)
+    return names, rows, lines
+
+
+def _column_rules(rule, width):
+    return rule if isinstance(rule, tuple) else (rule,) * width
+
+
 def load_dataset(values_csv, mask_csv=None) -> Dataset:
     """Read a values grid (header row of sensor ids, T data rows x N cols).
 
@@ -136,84 +204,32 @@ def load_dataset(values_csv, mask_csv=None) -> Dataset:
     mask CSV of the same shape is supplied, in which case the mask file
     wins and blanks must all fall at mask=0.
     """
-    rows = []
-    with open(values_csv, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{values_csv} is empty")
-        n = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n:
-                raise ValidationError(
-                    f"{values_csv}: row {lineno} has {len(row)} cells, expected {n}")
-            try:
-                rows.append([float(c) if c.strip() not in BLANK_CELLS else np.nan
-                             for c in row])
-            except ValueError:
-                raise cell_error(values_csv, lineno, row, lambda cell, _: (
-                    cell.strip() in BLANK_CELLS or float(cell))) from None
+    header, rows, _ = read_csv(values_csv, _value_cell, header=True)
     if not rows:
         raise ValidationError(f"{values_csv} has a header but no data rows")
     values = np.asarray(rows, dtype=np.float64)
-    observed = np.isfinite(values).astype(np.uint8)
-    if mask_csv is None:
-        mask = observed
-    else:
-        mask = load_grid_csv(mask_csv)
-        if mask.shape != values.shape:
-            raise ValidationError(f"mask file {mask_csv} has shape {mask.shape}, "
-                                  f"expected {values.shape}")
-        mask = _as_binary(mask, f"mask file {mask_csv}")
-        if np.any(mask & ~observed):
-            t, j = np.argwhere(mask & ~observed)[0]
+    mask = np.isfinite(values).astype(np.uint8)
+    if mask_csv is not None:
+        _, rows, lines = read_csv(mask_csv, _mask_cell)
+        given = np.asarray(rows, dtype=np.uint8)
+        if given.shape != values.shape:
+            raise ValidationError(f"{mask_csv}: mask has shape {given.shape}, "
+                                  f"but {values_csv} has {values.shape}")
+        if np.any(given & ~mask):
+            t, j = np.argwhere(given & ~mask)[0]
             raise ValidationError(
-                f"mask file {mask_csv} marks row {t}, col {j} as valid but the "
-                f"value cell is blank")
+                f"{mask_csv}: row {lines[t]}, column {j + 1}: marked valid, "
+                f"but {values_csv} has no finite value there")
+        mask = given
     return Dataset(values=values, mask=mask, columns=[h.strip() for h in header])
 
 
 def load_grid_csv(path) -> np.ndarray:
-    """Read a headerless numeric grid (a mask or a distance matrix).
-
-    A ragged row or a cell that is not a number is a ValidationError
-    naming the file, the row and the column.
-    """
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row:
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValidationError(
-                    f"{path}: row {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(rows[0])}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise cell_error(path, reader.line_num, row,
-                                 lambda cell, _: float(cell)) from None
+    """Read a headerless distance matrix; a NaN cell is a ValidationError."""
+    _, rows, _ = read_csv(path, _distance_cell)
     if not rows:
         raise ValidationError(f"{path} is empty")
     return np.asarray(rows, dtype=np.float64)
-
-
-def cell_error(path, line, row, parse) -> ValidationError:
-    """The error naming the first cell of `row` that `parse` rejects.
-
-    `row` is line `line` of CSV `path`; parse(cell, column) raises
-    ValueError on a bad cell, columns counting from 1. Readers call this
-    only after their own parse of the row failed, so reading a good file
-    checks no cell twice.
-    """
-    for col, cell in enumerate(row, start=1):
-        try:
-            parse(cell, col)
-        except ValueError as exc:
-            return ValidationError(f"{path}: row {line}, column {col}: {exc}")
 
 
 @contextlib.contextmanager
@@ -380,17 +396,3 @@ def training_whiten(window: SpatioTemporalWindow, rng=None, p=None):
     input_mask = window.mask & ~loss_mask
     return input_mask, loss_mask
 
-
-def mae(predictions, truth, eval_mask):
-    """Mean absolute error over eval_mask=1 positions."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    eval_mask = np.asarray(eval_mask)
-    if predictions.shape != truth.shape or predictions.shape != eval_mask.shape:
-        raise ShapeError(
-            f"shape mismatch: predictions {predictions.shape}, truth "
-            f"{truth.shape}, eval mask {eval_mask.shape}")
-    sel = eval_mask == 1
-    if not np.any(sel):
-        raise MetricError("mean absolute error over an empty evaluation set")
-    return float(np.mean(np.abs(predictions[sel] - truth[sel])))

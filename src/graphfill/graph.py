@@ -16,12 +16,11 @@ reads), then by (dst, src) within a count.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 
 import numpy as np
 
-from .data import cell_error
+from .data import read_csv
 from .errors import KernelError, ShapeError, ValidationError
 
 
@@ -55,17 +54,10 @@ class SensorGraph:
     def n_edges(self) -> int:
         return len(self.src)
 
-    @property
-    def edges(self):
-        return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
-
-    def in_edge_slice(self, i: int) -> slice:
-        self._check_node(i)
-        return slice(self._in_start[i], self._in_start[i + 1])
-
     def in_neighbors(self, i: int):
         """All (j, weight) with an edge j -> i, ascending by j."""
-        sl = self.in_edge_slice(i)
+        self._check_node(i)
+        sl = slice(self._in_start[i], self._in_start[i + 1])
         return list(zip(self.src[sl].tolist(), self.weight[sl].tolist()))
 
     def _check_node(self, i):
@@ -147,24 +139,7 @@ def khop_subgraph(graph: SensorGraph, seeds, k: int):
 
 def load_edges_csv(path, n_nodes: int) -> SensorGraph:
     """Read an edge list with header src,dst,weight (0-based node ids)."""
-    edges = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["src", "dst", "weight"]:
-            raise ValidationError(
-                f"edge file {path} must start with header 'src,dst,weight'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(
-                    f"{path}: row {reader.line_num} has {len(row)} cells, expected 3")
-            try:
-                edges.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError:
-                raise cell_error(path, reader.line_num, row, lambda cell, col: (
-                    int(cell) if col < 3 else float(cell))) from None
+    _, edges, _ = read_csv(path, (int, int, float), header=("src", "dst", "weight"))
     try:
         return SensorGraph(n_nodes, edges)
     except ValidationError as exc:

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ShapeError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
 
 class AdamState:
     """The parameters Adam updates, their first/second moment estimates
@@ -20,7 +22,7 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(state: AdamState, lr):
     """One in-place Adam update of state.params from their .grad, with
     bias correction; every .grad is None afterwards.
 
@@ -28,8 +30,8 @@ def adam_step(state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     moments decay, matching an all-zero gradient.
     """
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for k, p in enumerate(state.params):
         g = p.grad
         if g is None:
@@ -37,11 +39,11 @@ def adam_step(state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         elif g.shape != p.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * np.square(g)
+        state.m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * g
+        state.v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * np.square(g)
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.grad = None
 
 

@@ -51,8 +51,12 @@ def suggest_kernel(distances, target_neighbors=3):
     return gamma, delta
 
 
+PHASE_SCALE = 0.7       # phase drift, in cycles per unit distance
+DIFFUSION_ROUNDS = 2
+DIFFUSION_WEIGHT = 0.4  # share of each round taken from the neighbors
+
+
 def synth_series(n_nodes=20, n_steps=2000, seed=0, periods=(24.0, 12.0),
-                 phase_scale=0.7, diffusion_rounds=2, diffusion_weight=0.4,
                  noise_std=0.05, target_neighbors=2):
     """Generate a SynthResult with smooth, spatially correlated signals."""
     if n_nodes < 2 or n_steps < 2:
@@ -67,7 +71,7 @@ def synth_series(n_nodes=20, n_steps=2000, seed=0, periods=(24.0, 12.0),
     for period in periods:
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
-        phases = 2.0 * np.pi * phase_scale * (coords @ direction)
+        phases = 2.0 * np.pi * PHASE_SCALE * (coords @ direction)
         amps = rng.uniform(0.7, 1.3, size=n_nodes)
         values += amps[None, :] * np.sin(
             2.0 * np.pi * t[:, None] / period + phases[None, :])
@@ -78,8 +82,8 @@ def synth_series(n_nodes=20, n_steps=2000, seed=0, periods=(24.0, 12.0),
     kernel[distances > delta] = 0.0
     np.fill_diagonal(kernel, 1.0)
     kernel /= kernel.sum(axis=1, keepdims=True)
-    for _ in range(diffusion_rounds):
-        values = (1.0 - diffusion_weight) * values + diffusion_weight * (
+    for _ in range(DIFFUSION_ROUNDS):
+        values = (1.0 - DIFFUSION_WEIGHT) * values + DIFFUSION_WEIGHT * (
             values @ kernel.T)
 
     values += rng.normal(0.0, noise_std, size=values.shape)

@@ -267,10 +267,9 @@ def vsum(a, axis=None, keepdims=False):
     return _make_output(data, (a,), backfn)
 
 
-def vmean(a, axis=None):
+def vmean(a):
     a = as_value(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return div(vsum(a, axis=axis), float(n))
+    return div(vsum(a), float(a.data.size))
 
 
 def _scatter_add(rows, idx, n_rows):

@@ -160,12 +160,9 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     T._keep_large_allocations_on_heap()
     config.validate()
     train_sl, val_sl, _ = split_slices(dataset.n_steps, config.split)
-    for name, sl in (("training", train_sl), ("validation", val_sl)):
-        if sl.stop - sl.start < config.width:
-            raise FieldError(f"'data.W' ({config.width}) exceeds the {name} "
-                             f"split's {sl.stop - sl.start} steps")
-    train_view = dataset.rows(train_sl)
-    val_windows = make_windows(dataset.rows(val_sl), config.width, config.stride)
+    train_view = _split_rows(dataset, train_sl, "training", config.width)
+    val_view = _split_rows(dataset, val_sl, "validation", config.width)
+    val_windows = make_windows(val_view, config.width, config.stride)
     val_masks = _val_input_and_loss_masks(val_windows, config.seed)
     if all(m is None for m in val_masks):
         raise ValidationError("validation split has no usable windows")
@@ -274,9 +271,18 @@ def baseline_knn(window: SpatioTemporalWindow, graph: SensorGraph, node_means):
     return filled
 
 
+def _split_rows(dataset: Dataset, sl, name, width):
+    """The rows of split `sl`, which must hold one window of `width`."""
+    if sl.stop - sl.start < width:
+        raise FieldError(f"'data.W' ({width}) exceeds the {name} split's "
+                         f"{sl.stop - sl.start} steps")
+    return dataset.rows(sl)
+
+
 def _test_windows(dataset: Dataset, width, stride, split):
     _, _, test_sl = split_slices(dataset.n_steps, split)
-    return make_windows(dataset.rows(test_sl), width, stride)
+    return make_windows(_split_rows(dataset, test_sl, "test", width),
+                        width, stride)
 
 
 def _score_windows(windows, predict, stats, n_nodes):

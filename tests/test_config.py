@@ -144,6 +144,11 @@ BAD_INPUTS = {
     "ragged values row": (break_line("values", 3, "0.1,0.2"), "values", "row 3"),
     "non-numeric distance cell": (
         break_line("distances", 2, "1,zero,1"), "distances", "row 2, column 2"),
+    "NaN distance cell": (
+        break_line("distances", 2, "1,0,nan"), "distances", "row 2, column 3"),
+    "mask cell not 0/1": (break_line("mask", 4, "1,2,1"), "mask", "row 4, column 2"),
+    "mask marks a blank value valid": (
+        break_line("values", 3, "0.1,,0.2"), ("mask", "values"), "row 2, column 2"),
     "non-numeric value cell": (
         break_line("values", 5, "0.1,x,0.2"), "values", "row 5, column 2"),
     "non-integer edge id": (
@@ -205,6 +210,19 @@ def test_bad_input_exits_1_naming_file_and_field(case, files, capsys):
              for c in (culprit if isinstance(culprit, tuple) else (culprit,))]
     assert err.startswith(f"error: {files[0]}"), err
     assert all(str(path) in err for path in files) and named in err, err
+
+
+def test_evaluate_names_w_longer_than_the_test_split(files, capsys):
+    tmp_path, _, doc = files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 0
+    doc["data"]["W"] = 13  # the test split holds 12 steps
+    config.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {config}: 'data.W' (13) exceeds the test split's "
+                   "12 steps\n"), err
 
 
 def test_valid_inputs_train(files):

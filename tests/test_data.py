@@ -8,10 +8,10 @@ import pytest
 
 from graphfill.data import (Dataset, SpatioTemporalWindow, WHITEN_LEVELS,
                             inject_block_missing, inject_point_missing,
-                            inject_sparsity_sweep, load_dataset, mae,
-                            make_windows, normalize, save_grid_csv,
-                            split_slices, training_whiten)
-from graphfill.errors import (MetricError, ShapeError, ValidationError)
+                            inject_sparsity_sweep, load_dataset, make_windows,
+                            normalize, save_grid_csv, split_slices,
+                            training_whiten)
+from graphfill.errors import ValidationError
 
 
 def small_dataset(t=30, n=4, seed=0):
@@ -48,6 +48,9 @@ def test_load_dataset_mask_file_wins(tmp_path):
     save_grid_csv(mpath, np.array([[1, 0], [0, 1]]))
     ds = load_dataset(vpath, mpath)
     assert ds.mask.tolist() == [[1, 0], [0, 1]]
+    with open(mpath, "w") as f:  # any number equal to 0 or 1 is a mask cell
+        f.write("1.0, 0e0\n-0,+1\n")
+    assert load_dataset(vpath, mpath).mask.tolist() == [[1, 0], [0, 1]]
 
 
 def test_load_dataset_mask_marking_blank_rejected(tmp_path):
@@ -55,8 +58,9 @@ def test_load_dataset_mask_marking_blank_rejected(tmp_path):
     mpath = os.path.join(tmp_path, "mask.csv")
     with open(vpath, "w") as f:
         f.write("a,b\n1.0,\n")
-    save_grid_csv(mpath, np.array([[1, 1]]))
-    with pytest.raises(ValidationError):
+    with open(mpath, "w") as f:
+        f.write("\n1,1\n")
+    with pytest.raises(ValidationError, match="mask.csv: row 2, column 2: "):
         load_dataset(vpath, mpath)
 
 
@@ -250,17 +254,6 @@ def test_whiten_hides_at_least_one_entry():
                                step_offsets=np.arange(2.0))
     _, loss_mask = training_whiten(win, rng=0, p=0.2)
     assert loss_mask.sum() == 1  # floor(0.2 * 2 + 0.5) = 0 is bumped to 1
-
-
-def test_mae_empty_and_basic():
-    pred = np.array([[1.0, 2.0], [3.0, 4.0]])
-    truth = np.array([[1.5, 2.0], [2.0, 4.0]])
-    sel = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-    assert abs(mae(pred, truth, sel) - 0.75) < 1e-15
-    with pytest.raises(MetricError):
-        mae(pred, truth, np.zeros_like(sel))
-    with pytest.raises(ShapeError):
-        mae(pred, truth[:1], sel)
 
 
 def test_grid_csv_round_trip_exact(tmp_path):

@@ -20,6 +20,10 @@ def save_edges_csv(path, graph: SensorGraph):
             writer.writerow([int(s), int(d), repr(float(w))])
 
 
+def edge_list(graph):
+    return list(zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()))
+
+
 def line_graph(n, w=1.0):
     """0 <-> 1 <-> 2 ... bidirectional chain."""
     edges = []
@@ -31,7 +35,7 @@ def line_graph(n, w=1.0):
 
 def test_edges_sorted_by_destination_then_source():
     g = SensorGraph(4, [(3, 0, 1.0), (1, 0, 2.0), (0, 2, 0.5), (2, 1, 1.5)])
-    assert g.edges == [(1, 0, 2.0), (3, 0, 1.0), (2, 1, 1.5), (0, 2, 0.5)]
+    assert edge_list(g) == [(1, 0, 2.0), (3, 0, 1.0), (2, 1, 1.5), (0, 2, 0.5)]
     assert g.in_neighbors(0) == [(1, 2.0), (3, 1.0)]
     assert g.in_neighbors(3) == []
     assert g.in_neighbors(1) == [(2, 1.5)]
@@ -44,12 +48,8 @@ def test_in_edge_slices_partition_edge_array():
              for i in range(n) for j in range(n)
              if i != j and rng.random() < 0.4]
     g = SensorGraph(n, edges)
-    total = 0
-    for i in range(n):
-        sl = g.in_edge_slice(i)
-        assert np.all(g.dst[sl] == i)
-        total += sl.stop - sl.start
-    assert total == g.n_edges
+    from_neighbors = [(j, i, w) for i in range(n) for j, w in g.in_neighbors(i)]
+    assert from_neighbors == edge_list(g)
 
 
 def test_validation_errors():
@@ -64,7 +64,7 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         SensorGraph(3, [(0, 1, 1.0), (0, 1, 2.0)])  # duplicate
     with pytest.raises(ValidationError):
-        line_graph(3).in_edge_slice(5)
+        line_graph(3).in_neighbors(5)
 
 
 def test_gaussian_kernel_adjacency():
@@ -74,7 +74,7 @@ def test_gaussian_kernel_adjacency():
     g = build_adjacency_gaussian(dist, gamma=2.0, delta=2.0)
     # pairs within delta: (0,1) both ways, (1,2) both ways; (0,2) is out
     assert g.n_edges == 4
-    w01 = dict(((s, d), w) for s, d, w in g.edges)
+    w01 = dict(((s, d), w) for s, d, w in edge_list(g))
     assert abs(w01[(0, 1)] - np.exp(-1.0 / 2.0)) < 1e-15
     assert abs(w01[(1, 2)] - np.exp(-(1.5 ** 2) / 2.0)) < 1e-15
     assert (0, 0) not in w01  # no diagonal edge even though d=0 <= delta
@@ -100,7 +100,7 @@ def test_gaussian_weights_decrease_with_distance():
     diff = pts[:, None] - pts[None, :]
     dist = np.sqrt((diff ** 2).sum(-1))
     g = build_adjacency_gaussian(dist, gamma=0.1, delta=0.6)
-    for s, d, w in g.edges:
+    for s, d, w in edge_list(g):
         assert abs(w - np.exp(-dist[s, d] ** 2 / 0.1)) < 1e-15
         assert 0.0 < w <= 1.0
 
@@ -128,8 +128,7 @@ def test_khop_one_hop_chain():
     # nodes 1,2,3; only edges INTO the seed survive (depth-1 messages)
     assert sorted(node_map) == [1, 2, 3]
     assert sub.n_edges == 2
-    for s, d, _ in sub.edges:
-        assert d == node_map[2]
+    assert np.all(sub.dst == node_map[2])
     assert seed_mask.sum() == 1
 
 
@@ -172,7 +171,7 @@ def test_edge_csv_round_trip(tmp_path):
     path = os.path.join(tmp_path, "edges.csv")
     save_edges_csv(path, g)
     g2 = load_edges_csv(path, 6)
-    assert g2.edges == g.edges
+    assert edge_list(g2) == edge_list(g)
 
 
 def test_edge_csv_header_required(tmp_path):

@@ -78,7 +78,7 @@ def brute_force(values, input_mask, steps, graph, params, n_layers, n_masked):
                     c[t * n + i] = np_attention(blk["self_msg"],
                                                 blk["self_score"], h,
                                                 keys, t * n + i)
-        for j, i, _ in graph.edges:  # one attention per edge, summed at i
+        for j, i in zip(graph.src, graph.dst):  # one attention per edge, summed at i
             keys = [s * n + j for s in allowed[j]]
             if not keys:
                 continue
@@ -184,7 +184,7 @@ def test_pair_counts_closed_form():
         # masked layer: per-node key budget is its observed-step count
         obs = window.mask.sum(axis=0)
         want_self = int(sum(obs[i] * w for i in range(n)))
-        want_cross = int(sum(obs[j] * w for j, i, _ in graph.edges))
+        want_cross = int(sum(obs[j] * w for j in graph.src))
         assert masked_layer["self"] == want_self
         assert masked_layer["cross"] == want_cross
 
@@ -236,7 +236,8 @@ def test_permutation_equivariance():
                                         eval_mask=window.eval_mask[:, perm],
                                         step_offsets=window.step_offsets)
         p_graph = SensorGraph(5, [(int(inv[s]), int(inv[d]), w)
-                                  for s, d, w in graph.edges])
+                                  for s, d, w in zip(graph.src, graph.dst,
+                                                     graph.weight)])
         p_params = SpinParameters(n_nodes=5, d_h=8, n_layers=2, n_masked=1,
                                   hidden=8, d_v=4, d_q=6,
                                   rng=np.random.default_rng(0))

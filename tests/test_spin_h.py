@@ -65,7 +65,7 @@ def brute_force_hubs(values, input_mask, steps, graph, params, n_layers,
                 own = z[i * k_hubs:(i + 1) * k_hubs]
                 c[p] = np_set_attention(blk["self_msg"], blk["self_score"],
                                         own, h[p])
-                for j, dst, _ in graph.edges:
+                for j, dst in zip(graph.src, graph.dst):
                     if dst != i:
                         continue
                     nb = z[j * k_hubs:(j + 1) * k_hubs]
@@ -178,7 +178,8 @@ def test_permutation_equivariance_shared_hubs():
                                         eval_mask=window.eval_mask[:, perm],
                                         step_offsets=window.step_offsets)
         p_graph = SensorGraph(5, [(int(inv[s]), int(inv[d]), w)
-                                  for s, d, w in graph.edges])
+                                  for s, d, w in zip(graph.src, graph.dst,
+                                                     graph.weight)])
         p_params = SpinHParameters(n_nodes=5, d_h=8, d_z=8, n_hubs=2,
                                    n_layers=2, n_masked=1, hidden=8, d_v=4,
                                    d_q=6, rng=np.random.default_rng(0))

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphfill.train
+from graphfill.config import SubsampleConfig
 from graphfill.data import Dataset
 from graphfill.graph import SensorGraph
 from graphfill.spin import SpinParameters
@@ -84,7 +85,7 @@ def run(trainer, case):
     params = (SpinParameters(**small) if case.variant == "spin"
               else SpinHParameters(d_z=4, n_hubs=2, **small))
     subsample = (None if case.subsample is None else
-                 {"n_seeds": case.subsample[0], "k_hops": case.subsample[1]})
+                 SubsampleConfig(*case.subsample))
     config = TrainConfig(epochs_max=case.epochs_max, patience=case.patience,
                          batches_per_epoch=case.batches_per_epoch,
                          batch_size=case.batch_size, lr=case.lr,
