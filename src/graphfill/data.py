@@ -153,9 +153,9 @@ def _distance_cell(cell):
 def read_csv(path, rule, header=False):
     """(header, rows, lines) of the CSV file `path`, each cell parsed by `rule`.
 
-    Blank lines are skipped. `header` is False for a headerless grid,
-    True when the first line holds column names, or the tuple of names it
-    must hold. The header, or else the first row, sets the row width.
+    Blank lines are skipped, before the header too. `header` is False for
+    a headerless grid, True when the first line holds column names, or
+    the tuple of names it must hold. The header, or else the first row, sets the row width.
     `rule` parses one cell and raises ValueError on a bad one; a tuple of
     rules gives one per column. lines[k] is the physical line of rows[k].
     A ragged row or a rejected cell raises a ValidationError naming the
@@ -165,7 +165,7 @@ def read_csv(path, rule, header=False):
     rows, lines = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        names = next(reader, None) if header else None
+        names = next(filter(None, reader), None) if header else None
         if header and names is None:
             raise ValidationError(f"{path} is empty")
         if isinstance(header, tuple) and [h.strip() for h in names] != list(header):

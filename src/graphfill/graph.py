@@ -1,4 +1,4 @@
-"""Weighted directed sensor graphs.
+"""Weighted directed sensor graphs, held as three sorted edge arrays.
 
 Edges point from sender to receiver: an edge (j, i, w) means node j sends
 messages to node i, so the neighborhood N(i) used by attention is the set
@@ -6,17 +6,17 @@ of in-neighbors of i. Self-loops are excluded; a node's own history is
 handled by a separate per-node branch in the model, so a self-loop would
 duplicate it.
 
-Edges are stored sorted by (dst, src), and every aggregation sums in a
-fixed order, which keeps floating-point summation reproducible. The
-attention contexts of a node's in-edges are summed onto its query rows
-in block order: by the source's key count (its observed steps in a
+A graph is its `src`, `dst` and `weight` arrays, sorted by (dst, src);
+every function here builds, checks and restricts them with array
+operations, and the model reads only `src` and `dst`. Every aggregation
+sums in a fixed order, which keeps floating-point summation reproducible.
+The attention contexts of a node's in-edges are summed onto its query
+rows in block order: by the source's key count (its observed steps in a
 masked spin layer; one count in an open layer and in spin-h's hub
 reads), then by (dst, src) within a count.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -25,75 +25,72 @@ from .errors import KernelError, ShapeError, ValidationError
 
 
 class SensorGraph:
-    """Immutable weighted directed graph over sensor nodes 0..N-1."""
+    """Immutable weighted directed graph over sensor nodes 0..N-1.
+
+    `edges` holds (src, dst, weight) rows: a sequence of triples or an
+    (E, 3) array; a fractional node id is truncated, as int() does. A bad
+    edge raises ValidationError naming the first one, in the order given,
+    and its first failing check.
+    """
 
     def __init__(self, n_nodes: int, edges):
         if n_nodes <= 0:
             raise ValidationError(f"graph needs at least one node, got {n_nodes}")
-        self.n_nodes = int(n_nodes)
-        edges = [(int(s), int(d), float(w)) for s, d, w in edges]
-        for s, d, w in edges:
-            if not (0 <= s < n_nodes and 0 <= d < n_nodes):
-                raise ValidationError(f"edge ({s},{d}) references a missing node")
-            if s == d:
-                raise ValidationError(f"self-loop on node {s} is not allowed")
-            if not np.isfinite(w):
-                raise ValidationError(f"edge ({s},{d}) has non-finite weight {w}")
-            if w <= 0.0:
-                raise ValidationError(f"edge ({s},{d}) has non-positive weight {w}")
-        if len({(s, d) for s, d, _ in edges}) != len(edges):
+        self.n_nodes = n = int(n_nodes)
+        table = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
+        ids, weight = np.trunc(table[:, :2]), table[:, 2]
+        faults = np.column_stack((~np.all((ids >= 0) & (ids < n), axis=1),
+                                  ids[:, 0] == ids[:, 1], ~np.isfinite(weight),
+                                  weight <= 0.0))
+        if faults.any():
+            k, check = np.argwhere(faults)[0]
+            s, d, w = int(ids[k, 0]), int(ids[k, 1]), float(weight[k])
+            raise ValidationError((
+                f"edge ({s},{d}) references a missing node",
+                f"self-loop on node {s} is not allowed",
+                f"edge ({s},{d}) has non-finite weight {w}",
+                f"edge ({s},{d}) has non-positive weight {w}")[check])
+        src, dst = ids[:, 0].astype(np.intp), ids[:, 1].astype(np.intp)
+        order = np.lexsort((src, dst))
+        self.src, self.dst, self.weight = src[order], dst[order], weight[order]
+        if np.any((np.diff(self.src) == 0) & (np.diff(self.dst) == 0)):
             raise ValidationError("duplicate edges are not allowed")
-        edges.sort(key=lambda e: (e[1], e[0]))
-        self.src = np.array([s for s, _, _ in edges], dtype=np.intp)
-        self.dst = np.array([d for _, d, _ in edges], dtype=np.intp)
-        self.weight = np.array([w for _, _, w in edges], dtype=np.float64)
-        # edges are sorted by dst, so each node's in-edges form one slice
-        self._in_start = np.searchsorted(self.dst, np.arange(n_nodes + 1))
 
     @property
     def n_edges(self) -> int:
         return len(self.src)
 
-    def in_neighbors(self, i: int):
-        """All (j, weight) with an edge j -> i, ascending by j."""
-        self._check_node(i)
-        sl = slice(self._in_start[i], self._in_start[i + 1])
-        return list(zip(self.src[sl].tolist(), self.weight[sl].tolist()))
-
-    def _check_node(self, i):
-        if not (0 <= i < self.n_nodes):
-            raise ValidationError(f"node index {i} out of range [0, {self.n_nodes})")
-
 
 def build_adjacency_gaussian(distances, gamma: float, delta: float) -> SensorGraph:
     """Gaussian-kernel adjacency: weight exp(-d^2/gamma) where d <= delta.
 
-    The distance matrix must be square, non-negative, with a zero
-    diagonal; the diagonal never produces an edge. A gamma that is not
-    positive, or so small that an edge's weight underflows to 0, raises
-    KernelError.
+    The distance matrix must be square, non-negative (a NaN entry is
+    named like a negative one), with a zero diagonal; the diagonal never
+    produces an edge. Edge (i, j) has distance d[i, j]. A gamma that is
+    not positive, or so small that an edge's weight underflows to 0,
+    raises KernelError.
     """
     dist = np.asarray(distances, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ShapeError(f"distance matrix must be square, got shape {dist.shape}")
     if gamma <= 0.0:
         raise KernelError(f"kernel shape parameter gamma must be > 0, got {gamma}")
-    if np.any(dist < 0.0):
-        raise ValidationError("distances must be non-negative")
+    negative = ~(dist >= 0.0)  # NaN too
+    if negative.any():
+        i, j = np.argwhere(negative)[0]
+        raise ValidationError(
+            f"distances must be non-negative, got {dist[i, j]:g} at ({i},{j})")
     if np.any(np.diag(dist) != 0.0):
         raise ValidationError("distance matrix diagonal must be zero")
     n = dist.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and dist[i, j] <= delta:
-                weight = float(np.exp(-dist[i, j] ** 2 / gamma))
-                if weight == 0.0:
-                    raise KernelError(
-                        f"gamma {gamma} underflows the weight exp(-d^2/gamma) "
-                        f"of edge ({i},{j}) at distance {dist[i, j]:g} to 0")
-                edges.append((i, j, weight))
-    return SensorGraph(n, edges)
+    src, dst = np.nonzero((dist <= delta) & ~np.eye(n, dtype=bool))
+    weight = np.exp(-dist[src, dst] ** 2 / gamma)
+    if np.any(weight == 0.0):
+        k = np.flatnonzero(weight == 0.0)[0]
+        raise KernelError(
+            f"gamma {gamma} underflows the weight exp(-d^2/gamma) of edge "
+            f"({src[k]},{dst[k]}) at distance {dist[src[k], dst[k]]:g} to 0")
+    return SensorGraph(n, np.column_stack((src, dst, weight)))
 
 
 def khop_subgraph(graph: SensorGraph, seeds, k: int):
@@ -102,39 +99,31 @@ def khop_subgraph(graph: SensorGraph, seeds, k: int):
     Nodes: everything within k reverse-edge hops of a seed. Edges: those
     whose destination lies within k-1 hops, since a message crossing any
     other edge cannot reach a seed in k propagation steps (with k=0 the
-    subgraph is the bare seed set). Returns (subgraph, node_map,
-    seed_mask) where node_map maps old node index -> new node index and
+    subgraph is the bare seed set); their sources lie within k hops.
+    Returns (subgraph, kept, seed_mask): kept holds the old ids of the
+    subgraph's nodes, ascending, so new id m is old id kept[m], and
     seed_mask flags the seed rows of the subgraph, in new numbering.
     """
-    seeds = sorted(set(int(s) for s in seeds))
-    if not seeds:
+    seeds = np.unique(np.asarray(seeds, dtype=np.intp))
+    if seeds.size == 0:
         raise ValidationError("seed set must be non-empty")
     if k < 0:
         raise ValidationError(f"hop count must be >= 0, got {k}")
-    for s in seeds:
-        graph._check_node(s)
-
-    hop = {s: 0 for s in seeds}
-    frontier = deque(seeds)
-    while frontier:
-        i = frontier.popleft()
-        if hop[i] == k:
-            continue
-        for j, _ in graph.in_neighbors(i):
-            if j not in hop:
-                hop[j] = hop[i] + 1
-                frontier.append(j)
-
-    kept = sorted(hop)
-    node_map = {old: new for new, old in enumerate(kept)}
-    edges = [(node_map[s], node_map[d], w)
-             for s, d, w in zip(graph.src, graph.dst, graph.weight)
-             if d in hop and hop[d] <= k - 1 and s in hop]
-    sub = SensorGraph(len(kept), edges)
-    seed_mask = np.zeros(len(kept), dtype=bool)
-    for s in seeds:
-        seed_mask[node_map[s]] = True
-    return sub, node_map, seed_mask
+    outside = seeds[(seeds < 0) | (seeds >= graph.n_nodes)]
+    if outside.size:
+        raise ValidationError(f"node index {outside[0]} out of range "
+                              f"[0, {graph.n_nodes})")
+    hop = np.full(graph.n_nodes, -1)  # -1: farther than k hops
+    hop[seeds] = 0
+    for d in range(k):
+        senders = graph.src[hop[graph.dst] == d]
+        hop[senders[hop[senders] < 0]] = d + 1
+    kept = np.flatnonzero(hop >= 0)
+    new_id = np.cumsum(hop >= 0) - 1
+    inner = (hop[graph.dst] >= 0) & (hop[graph.dst] < k)
+    sub = SensorGraph(len(kept), np.column_stack((
+        new_id[graph.src[inner]], new_id[graph.dst[inner]], graph.weight[inner])))
+    return sub, kept, hop[kept] == 0
 
 
 def load_edges_csv(path, n_nodes: int) -> SensorGraph:

@@ -107,9 +107,8 @@ def draw_batch(rng, train_view: Dataset, graph: SensorGraph,
     if config.subsample is not None:
         seeds = rng.choice(graph.n_nodes, size=min(config.subsample.n_seeds,
                                                    graph.n_nodes), replace=False)
-        batch_graph, node_map, seed_mask = khop_subgraph(
+        batch_graph, cols, seed_mask = khop_subgraph(
             graph, seeds, config.subsample.k_hops)
-        cols = np.array(sorted(node_map), dtype=np.intp)
         windows = [_column_subset_window(win, cols) for win in windows]
     batch = []
     for win in windows:
@@ -248,27 +247,14 @@ def baseline_knn(window: SpatioTemporalWindow, graph: SensorGraph, node_means):
     Weights are the incoming edge weights; entries with no valid neighbor
     at that step fall back to the node mean.
     """
-    filled = np.array(window.values, dtype=np.float64, copy=True)
-    mask = window.mask
-    for i in range(window.n_nodes):
-        missing = np.flatnonzero(mask[:, i] == 0)
-        if len(missing) == 0:
-            continue
-        neighbors = graph.in_neighbors(i)
-        if neighbors:
-            js = np.array([j for j, _ in neighbors], dtype=np.intp)
-            ws = np.array([wt for _, wt in neighbors])
-            nb_mask = mask[:, js][missing] == 1  # (n_missing, n_neighbors)
-            nb_vals = np.where(nb_mask, window.values[:, js][missing], 0.0)
-            denom = nb_mask @ ws
-            numer = nb_vals @ ws
-            covered = denom > 0.0
-            filled[missing, i] = np.where(covered,
-                                          numer / np.maximum(denom, 1e-300),
-                                          node_means[i])
-        else:
-            filled[missing, i] = node_means[i]
-    return filled
+    adjacency = np.zeros((graph.n_nodes, graph.n_nodes))
+    adjacency[graph.src, graph.dst] = graph.weight
+    observed = window.mask == 1
+    numer = np.where(observed, window.values, 0.0) @ adjacency  # (W, N)
+    denom = observed @ adjacency
+    knn = np.where(denom > 0.0, numer / np.maximum(denom, 1e-300),
+                   np.asarray(node_means)[None, :])
+    return np.where(observed, window.values, knn)
 
 
 def _split_rows(dataset: Dataset, sl, name, width):

@@ -248,7 +248,9 @@ def test_criterion_4_alpha_sums_and_node_permutation():
 def test_criterion_5_complexity_audit(tmp_path):
     cfg_path = tmp_path / "bench.json"
     with open(cfg_path, "w") as f:
-        json.dump({"benchmark": {"n_nodes": 24, "seed": 0, "repeats": 5},
+        # best of 20 forwards per width: with best of 5, one busy process on
+        # a 2-CPU machine pushed the hub ratio past its bound in 2 of 8 runs
+        json.dump({"benchmark": {"n_nodes": 24, "seed": 0, "repeats": 20},
                    "output": {"dir": str(tmp_path / "out")}}, f)
     # the command itself verifies the exact closed-form counts and the
     # exact x4 / x2 growth per doubling, exiting non-zero on mismatch

@@ -32,6 +32,27 @@ def test_load_dataset_blanks_become_missing(tmp_path):
     assert ds.values[0, 0] == 1.0 and np.isnan(ds.values[0, 1])
 
 
+@pytest.mark.parametrize("text, shape, error", [
+    ("\ns0,s1\n1,2\n", (1, 2), None),           # blank line before the header
+    ("\n\n\ns0,s1\n\n1,2\n", (1, 2), None),
+    ("\n", None, "values.csv is empty"),          # blank lines only
+    ("\n\n\n", None, "values.csv is empty"),
+    ("\ns0,s1\n1\n", None, "values.csv: row 3 has 1 cells, expected 2")],
+    ids=["one blank line first", "blank lines first and after", "one blank line",
+         "blank lines only", "ragged row named by its line"])
+def test_load_dataset_header_after_blank_lines(tmp_path, text, shape, error):
+    path = os.path.join(tmp_path, "values.csv")
+    with open(path, "w") as f:
+        f.write(text)
+    if error is not None:
+        with pytest.raises(ValidationError, match=f"{error}$"):
+            load_dataset(path)
+        return
+    ds = load_dataset(path)
+    assert ds.values.shape == shape and ds.columns == ["s0", "s1"]
+    assert ds.values.tolist() == [[1.0, 2.0]]
+
+
 def test_load_dataset_ragged_row_rejected(tmp_path):
     path = os.path.join(tmp_path, "values.csv")
     with open(path, "w") as f:

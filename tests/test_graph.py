@@ -36,9 +36,10 @@ def line_graph(n, w=1.0):
 def test_edges_sorted_by_destination_then_source():
     g = SensorGraph(4, [(3, 0, 1.0), (1, 0, 2.0), (0, 2, 0.5), (2, 1, 1.5)])
     assert edge_list(g) == [(1, 0, 2.0), (3, 0, 1.0), (2, 1, 1.5), (0, 2, 0.5)]
-    assert g.in_neighbors(0) == [(1, 2.0), (3, 1.0)]
-    assert g.in_neighbors(3) == []
-    assert g.in_neighbors(1) == [(2, 1.5)]
+    assert g.src[g.dst == 0].tolist() == [1, 3]  # in-neighbors, ascending
+    assert g.weight[g.dst == 0].tolist() == [2.0, 1.0]
+    assert g.src[g.dst == 3].tolist() == []
+    assert g.src[g.dst == 1].tolist() == [2]
 
 
 def test_in_edge_slices_partition_edge_array():
@@ -48,23 +49,36 @@ def test_in_edge_slices_partition_edge_array():
              for i in range(n) for j in range(n)
              if i != j and rng.random() < 0.4]
     g = SensorGraph(n, edges)
-    from_neighbors = [(j, i, w) for i in range(n) for j, w in g.in_neighbors(i)]
-    assert from_neighbors == edge_list(g)
+    starts = np.searchsorted(g.dst, np.arange(n + 1))  # node i: starts[i]:starts[i+1]
+    from_slices = [(j, i, w) for i in range(n)
+                   for j, w in zip(g.src[starts[i]:starts[i + 1]].tolist(),
+                                   g.weight[starts[i]:starts[i + 1]].tolist())]
+    assert from_slices == edge_list(g)
+    assert edge_list(g) == sorted(edges, key=lambda e: (e[1], e[0]))
+    assert edge_list(SensorGraph(n, np.array(edges[::-1]))) == edge_list(g)
 
 
 def test_validation_errors():
     with pytest.raises(ValidationError):
         SensorGraph(0, [])
-    with pytest.raises(ValidationError):
-        SensorGraph(3, [(0, 3, 1.0)])  # node out of range
-    with pytest.raises(ValidationError):
-        SensorGraph(3, [(1, 1, 1.0)])  # self-loop
-    with pytest.raises(ValidationError):
-        SensorGraph(3, [(0, 1, 0.0)])  # non-positive weight
-    with pytest.raises(ValidationError):
-        SensorGraph(3, [(0, 1, 1.0), (0, 1, 2.0)])  # duplicate
-    with pytest.raises(ValidationError):
-        line_graph(3).in_neighbors(5)
+    with pytest.raises(ValidationError, match=r"^edge \(0,3\) references a missing node$"):
+        SensorGraph(3, [(0, 3, 1.0)])
+    with pytest.raises(ValidationError, match="^self-loop on node 1 is not allowed$"):
+        SensorGraph(3, [(1, 1, 1.0)])
+    with pytest.raises(ValidationError, match=r"^edge \(0,1\) has non-finite weight nan$"):
+        SensorGraph(3, [(0, 1, np.nan)])
+    with pytest.raises(ValidationError, match=r"^edge \(0,1\) has non-positive weight 0.0$"):
+        SensorGraph(3, [(0, 1, 0.0)])
+    with pytest.raises(ValidationError, match="^duplicate edges are not allowed$"):
+        SensorGraph(3, [(0, 1, 1.0), (2, 1, 1.0), (0, 1, 2.0)])
+
+
+def test_first_bad_edge_and_its_first_failing_check_are_named():
+    # edge (2,2) fails two checks; edge (0,5) comes first in the list
+    with pytest.raises(ValidationError, match=r"^edge \(0,5\) references"):
+        SensorGraph(3, [(1, 0, 1.0), (0, 5, -1.0), (2, 2, -1.0)])
+    with pytest.raises(ValidationError, match="^self-loop on node 2 "):
+        SensorGraph(3, [(1, 0, 1.0), (2, 2, -1.0), (0, 5, 1.0)])
 
 
 def test_gaussian_kernel_adjacency():
@@ -87,7 +101,7 @@ def test_gaussian_kernel_validation():
         build_adjacency_gaussian(np.zeros((3, 3)), 0.0, 1.0)
     bad = np.zeros((2, 2))
     bad[0, 1] = -1.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"non-negative, got -1 at \(0,1\)$"):
         build_adjacency_gaussian(bad, 1.0, 1.0)
     diag = np.ones((2, 2))
     with pytest.raises(ValidationError):
@@ -113,32 +127,41 @@ def test_gaussian_weight_underflow_names_gamma_and_edge():
         build_adjacency_gaussian(dist, gamma=0.0, delta=1.5)
 
 
+def test_nan_distance_is_rejected_and_named():
+    dist = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"non-negative, got nan at \(0,1\)$"):
+        build_adjacency_gaussian(dist, 1.0, 2.0)
+
+
 def test_khop_zero_keeps_seeds_only():
     g = line_graph(5)
-    sub, node_map, seed_mask = khop_subgraph(g, [2], 0)
+    sub, kept, seed_mask = khop_subgraph(g, [2], 0)
     assert sub.n_nodes == 1
     assert sub.n_edges == 0
-    assert node_map == {2: 0}
+    assert kept.tolist() == [2]
     assert seed_mask.tolist() == [True]
 
 
 def test_khop_one_hop_chain():
     g = line_graph(5)
-    sub, node_map, seed_mask = khop_subgraph(g, [2], 1)
+    sub, kept, seed_mask = khop_subgraph(g, [2], 1)
     # nodes 1,2,3; only edges INTO the seed survive (depth-1 messages)
-    assert sorted(node_map) == [1, 2, 3]
+    assert kept.tolist() == [1, 2, 3]
     assert sub.n_edges == 2
-    assert np.all(sub.dst == node_map[2])
+    assert kept[sub.src].tolist() == [1, 3]
+    assert np.all(kept[sub.dst] == 2)
     assert seed_mask.sum() == 1
 
 
 def test_khop_two_hops_chain():
     g = line_graph(7)
-    sub, node_map, _ = khop_subgraph(g, [3], 2)
-    assert sorted(node_map) == [1, 2, 3, 4, 5]
+    sub, kept, _ = khop_subgraph(g, [3], 2)
+    assert kept.tolist() == [1, 2, 3, 4, 5]
     # edges into node 3 (2), and into its 1-hop neighbors 2 and 4 from
     # kept nodes (1->2, 3->2, 3->4, 5->4): 6 total
     assert sub.n_edges == 6
+    assert list(zip(kept[sub.src].tolist(), kept[sub.dst].tolist())) == [
+        (1, 2), (3, 2), (2, 3), (4, 3), (3, 4), (5, 4)]
 
 
 def test_khop_saturates_to_whole_component():
@@ -147,10 +170,10 @@ def test_khop_saturates_to_whole_component():
     diff = pts[:, None] - pts[None, :]
     dist = np.sqrt((diff ** 2).sum(-1))
     g = build_adjacency_gaussian(dist, gamma=0.5, delta=2.0)  # complete graph
-    sub, node_map, _ = khop_subgraph(g, [0, 3], 8)
+    sub, kept, _ = khop_subgraph(g, [0, 3], 8)
     assert sub.n_nodes == g.n_nodes
     assert sub.n_edges == g.n_edges
-    assert sorted(node_map) == list(range(8))
+    assert kept.tolist() == list(range(8))
 
 
 def test_khop_validation():
@@ -159,7 +182,7 @@ def test_khop_validation():
         khop_subgraph(g, [], 1)
     with pytest.raises(ValidationError):
         khop_subgraph(g, [0], -1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^node index 9 out of range \[0, 3\)$"):
         khop_subgraph(g, [9], 1)
 
 
