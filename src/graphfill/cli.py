@@ -29,7 +29,8 @@ from .config import InjectConfig, RunConfig, build_params, load_run_config
 from .data import (Dataset, atomic_write, inject_block_missing,
                    inject_point_missing, inject_sparsity_sweep, load_dataset,
                    load_grid_csv, normalize, save_grid_csv, split_slices)
-from .errors import FieldError, GraphfillError, KernelError, ValidationError
+from .errors import (FieldError, GraphfillError, KernelError, MetricError,
+                     ValidationError)
 from .graph import SensorGraph, build_adjacency_gaussian, load_edges_csv
 from .spin import spin_forward
 from .spin_h import spinh_forward
@@ -85,8 +86,7 @@ def apply_inject(dataset: Dataset, inject: InjectConfig):
         return dataset
     mask, dropped = INJECTORS[inject.policy](dataset.mask, rng=inject.seed,
                                              **inject.params)
-    return replace(dataset, mask=mask,
-                   eval_mask=(dataset.eval_mask | dropped).astype(np.uint8))
+    return replace(dataset, mask=mask, eval_mask=dataset.eval_mask | dropped)
 
 
 def prepare(cfg: RunConfig):
@@ -186,8 +186,8 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
     fwd = spin_forward if cfg.model.variant == "spin" else spinh_forward
     width = cfg.data.width
     if dataset.n_steps < width:
-        raise ValidationError(
-            f"series has {dataset.n_steps} steps, shorter than window {width}")
+        raise FieldError(f"'data.W' ({width}) exceeds the series' "
+                         f"{dataset.n_steps} steps")
     starts = list(range(0, dataset.n_steps - width + 1, width))
     if starts[-1] + width < dataset.n_steps:
         starts.append(dataset.n_steps - width)  # cover the tail by overlap
@@ -198,12 +198,12 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
                                     params).predictions)
             block = predictions[start:start + width]  # a view: filled in place
             block[np.isnan(block)] = pred[np.isnan(block)]
-    filled = np.where(dataset.mask == 1, raw.values, predictions)
+    filled = np.where(dataset.mask, raw.values, predictions)
     if not np.all(np.isfinite(filled)):
         raise GraphfillError("imputation left unfilled cells")
     imputed_path = os.path.join(out, "imputed.csv")
     save_grid_csv(imputed_path, filled, header=dataset.columns)
-    n_filled = int((dataset.mask == 0).sum())
+    n_filled = int((~dataset.mask).sum())
     print(f"impute: filled {n_filled} missing cells; wrote {imputed_path}")
     return 0
 
@@ -212,7 +212,11 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str) -> int:
     dataset, _, graph, _ = prepare(cfg)
     params = _load_model(cfg, dataset.n_nodes, checkpoint_path)
     windows = cfg.data.width, cfg.data.stride, cfg.data.split
-    metrics = {cfg.model.variant: evaluate(params, dataset, graph, *windows)}
+    try:
+        metrics = {cfg.model.variant: evaluate(params, dataset, graph, *windows)}
+    except MetricError:  # only an injection hides entries to score
+        raise FieldError(f"'inject.policy' ({cfg.inject.policy!r}) hides no "
+                         "entry in the test windows to score") from None
     for kind in ("mean", "knn"):
         metrics[kind] = evaluate_baseline(kind, dataset, graph, *windows)
     path = _write_json(cfg, "metrics.json", metrics)

@@ -1,13 +1,15 @@
 """Dataset handling: loading, normalization, windowing, missing-data injection.
 
-Values are (T, N) float64 arrays (one feature per sensor). Two binary
+Values are (T, N) float64 arrays (one feature per sensor). Two bool
 (T, N) masks accompany them: `mask` marks entries the model may read, and
 `eval_mask` marks entries hidden from the model but kept as ground truth
-for scoring. The two are disjoint; an entry that was never measured is 0
-in both. Entries that are 0 in both masks are undefined and may hold NaN.
+for scoring. The two are disjoint; an entry that was never measured is
+False in both. Entries that are False in both masks are undefined and may
+hold NaN. A mask may enter as 0/1 of any dtype or as bool; `_as_binary`
+checks and converts it where it enters, and code past it reads bool.
 
 Injection operations move entries from `mask` to `eval_mask` and satisfy
-conservation: new_mask AND new_eval = 0 and new_mask OR moved = old_mask.
+conservation: new_mask AND new_eval = False and new_mask OR moved = old_mask.
 """
 
 from __future__ import annotations
@@ -26,13 +28,18 @@ DEFAULT_SPLIT = (0.7, 0.1, 0.2)  # train/val/test fractions
 
 
 def _as_binary(arr, name):
+    """`arr` as a bool mask: a bool array comes back as it is; any other
+    must hold only 0 and 1, and a ValidationError names its first other cell."""
     arr = np.asarray(arr)
-    if not np.isin(arr, (0, 1)).all():
-        bad = np.argwhere(~np.isin(arr, (0, 1)))[0]
+    if arr.dtype == bool:
+        return arr
+    binary = (arr == 0) | (arr == 1)
+    if not binary.all():
+        bad = np.argwhere(~binary)[0]
         raise ValidationError(
             f"{name} must contain only 0/1; offending entry at row {bad[0]}, "
             f"col {bad[1]}" if arr.ndim == 2 else f"{name} must contain only 0/1")
-    return arr.astype(np.uint8)
+    return arr == 1
 
 
 @dataclass
@@ -51,8 +58,8 @@ class Stats:
 @dataclass
 class Dataset:
     values: np.ndarray            # (T, N) float64
-    mask: np.ndarray              # (T, N) uint8, 1 = model may read
-    eval_mask: np.ndarray = None  # (T, N) uint8, 1 = held out for scoring
+    mask: np.ndarray              # (T, N) bool, True = model may read
+    eval_mask: np.ndarray = None  # (T, N) bool, True = held out for scoring
     timestamps: np.ndarray = None  # (T,) integer step index
     stats: Stats = None
     columns: list = field(default_factory=list)
@@ -74,7 +81,7 @@ class Dataset:
                 f"shape {self.values.shape}")
         if np.any(self.mask & self.eval_mask):
             raise ValidationError("mask and eval mask overlap")
-        defined = (self.mask | self.eval_mask).astype(bool)
+        defined = self.mask | self.eval_mask
         if not np.all(np.isfinite(self.values[defined])):
             raise ValidationError("non-finite value at a position marked as measured")
         if self.timestamps is None:
@@ -110,9 +117,9 @@ class SpatioTemporalWindow:
     """A W-step slice of a dataset, with absolute step offsets and, for a
     subset of the sensors, absolute node ids.
 
-    Positions with mask=1 form the observed set (value + position known);
-    the rest form the target set the model must fill in. eval_mask flags
-    which targets carry hidden ground truth for scoring.
+    Positions where mask is True form the observed set (value and position
+    known); the rest form the target set the model must fill in. eval_mask
+    flags which targets carry hidden ground truth for scoring.
     """
     values: np.ndarray        # (W, N)
     mask: np.ndarray          # (W, N)
@@ -208,10 +215,10 @@ def load_dataset(values_csv, mask_csv=None) -> Dataset:
     if not rows:
         raise ValidationError(f"{values_csv} has a header but no data rows")
     values = np.asarray(rows, dtype=np.float64)
-    mask = np.isfinite(values).astype(np.uint8)
+    mask = np.isfinite(values)
     if mask_csv is not None:
         _, rows, lines = read_csv(mask_csv, _mask_cell)
-        given = np.asarray(rows, dtype=np.uint8)
+        given = np.asarray(rows, dtype=bool)
         if given.shape != values.shape:
             raise ValidationError(f"{mask_csv}: mask has shape {given.shape}, "
                                   f"but {values_csv} has {values.shape}")
@@ -283,14 +290,12 @@ def split_slices(n_steps, fracs=DEFAULT_SPLIT):
 def normalize(dataset: Dataset, train_slice=None):
     """Standardize to zero mean / unit variance, graph-wise.
 
-    Statistics come only from mask=1 entries inside train_slice (default:
-    all steps) and are applied to every defined entry. Returns the
-    normalized dataset (stats attached) and the Stats.
+    Statistics come only from observed (mask) entries inside train_slice
+    (default: all steps) and are applied to every defined entry. Returns
+    the normalized dataset (stats attached) and the Stats.
     """
     sl = train_slice if train_slice is not None else slice(None)
-    sub_values = dataset.values[sl]
-    sub_mask = dataset.mask[sl].astype(bool)
-    picked = sub_values[sub_mask]
+    picked = dataset.values[sl][dataset.mask[sl]]
     if picked.size < 2:
         raise ValidationError(
             f"need at least 2 valid training entries to normalize, got {picked.size}")
@@ -300,7 +305,7 @@ def normalize(dataset: Dataset, train_slice=None):
         raise ValidationError("zero variance over valid training entries; "
                               "cannot standardize a constant signal")
     stats = Stats(mean=mean, std=std)
-    defined = (dataset.mask | dataset.eval_mask).astype(bool)
+    defined = dataset.mask | dataset.eval_mask
     values = dataset.values.copy()
     values[defined] = stats.apply(values[defined])
     return replace(dataset, values=values, stats=stats), stats
@@ -317,21 +322,13 @@ def make_windows(dataset: Dataset, width: int, stride: int):
             for start in range(0, dataset.n_steps - width + 1, stride)]
 
 
-def _move_to_eval(mask, drop):
-    """(mask without `drop`, eval mask of `drop`); drop is a boolean
-    subset of mask."""
-    drop = drop.astype(np.uint8)
-    return mask.astype(np.uint8) & ~drop, drop
-
-
 def inject_point_missing(mask, rate=0.25, rng=None):
     """Independently hide each valid entry with probability `rate`."""
     if not (0.0 <= rate < 1.0):
         raise ValidationError(f"point-missing rate must lie in [0, 1), got {rate}")
-    rng = np.random.default_rng(rng)
-    mask = np.asarray(mask, dtype=np.uint8)
-    drop = (rng.random(mask.shape) < rate) & (mask == 1)
-    return _move_to_eval(mask, drop)
+    mask = _as_binary(mask, "mask")
+    drop = (np.random.default_rng(rng).random(mask.shape) < rate) & mask
+    return mask & ~drop, drop
 
 
 def inject_block_missing(mask, point_rate=0.05, failure_prob=0.0015,
@@ -347,18 +344,16 @@ def inject_block_missing(mask, point_rate=0.05, failure_prob=0.0015,
         raise ValidationError(f"point rate must lie in [0, 1), got {point_rate}")
     if len_min > len_max or len_min < 1:
         raise ValidationError(f"bad failure length range [{len_min}, {len_max}]")
+    mask = _as_binary(mask, "mask")
     rng = np.random.default_rng(rng)
-    mask = np.asarray(mask, dtype=np.uint8)
-    n_steps, n_nodes = mask.shape
-    failed = np.zeros_like(mask, dtype=bool)
+    failed = np.zeros_like(mask)
     starts = rng.random(mask.shape) < failure_prob
     lengths = rng.integers(len_min, len_max + 1, size=mask.shape)
     for t, j in np.argwhere(starts):
         failed[t:t + lengths[t, j], j] = True
-    drop = failed & (mask == 1)
-    remaining = (mask == 1) & ~drop
-    drop |= (rng.random(mask.shape) < point_rate) & remaining
-    return _move_to_eval(mask, drop)
+    drop = failed & mask
+    drop |= (rng.random(mask.shape) < point_rate) & mask & ~drop
+    return mask & ~drop, drop
 
 
 def inject_sparsity_sweep(mask, p, rng=None):
@@ -382,17 +377,17 @@ def training_whiten(window: SpatioTemporalWindow, rng=None, p=None):
 
     Returns (input_mask, loss_mask), disjoint, union = window.mask.
     """
+    mask = _as_binary(window.mask, "window mask")
     rng = np.random.default_rng(rng)
     if p is None:
         p = WHITEN_LEVELS[rng.integers(len(WHITEN_LEVELS))]
-    valid = np.argwhere(window.mask == 1)
+    valid = np.argwhere(mask)
     if len(valid) == 0:
         raise ValidationError("cannot whiten a window with no valid entries")
     n_hide = max(1, int(np.floor(p * len(valid) + 0.5)))
     n_hide = min(n_hide, len(valid))
     chosen = valid[rng.choice(len(valid), size=n_hide, replace=False)]
-    loss_mask = np.zeros_like(window.mask)
-    loss_mask[chosen[:, 0], chosen[:, 1]] = 1
-    input_mask = window.mask & ~loss_mask
-    return input_mask, loss_mask
+    loss_mask = np.zeros_like(mask)
+    loss_mask[chosen[:, 0], chosen[:, 1]] = True
+    return mask & ~loss_mask, loss_mask
 

@@ -43,6 +43,7 @@ import numpy as np
 from . import tensor as T
 from .encoding import (DEFAULT_D_Q, DEFAULT_D_V, DEFAULT_HIDDEN, DEFAULT_PERIODS,
                        EncodingParams)
+from .data import _as_binary
 from .errors import ShapeError, ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
@@ -252,15 +253,14 @@ def attend(key_src, query_src, *, key_idx, msg_mlp, score):
 
 
 def init_states(params, window, graph, input_mask=None):
-    """(input_mask, x_leaf, h): the checked input mask (default: the
-    window's), the value leaf and the layer-0 states. Row p = τ·N + i of h
-    is init_observed([x, q]) where the mask is 1, else init_target(q).
+    """(input_mask, x_leaf, h): the input mask (default: the window's) as
+    a checked bool array, the value leaf and the layer-0 states. Row
+    p = τ·N + i of h is init_observed([x, q]) where it is set, else init_target(q).
     """
     values = np.asarray(window.values, dtype=np.float64)
     w, n = values.shape
-    if input_mask is None:
-        input_mask = window.mask
-    input_mask = np.asarray(input_mask)
+    input_mask = _as_binary(window.mask if input_mask is None else input_mask,
+                            "input mask")
     if input_mask.shape != (w, n):
         raise ShapeError(
             f"input mask shape {input_mask.shape} != window shape {(w, n)}")
@@ -268,8 +268,8 @@ def init_states(params, window, graph, input_mask=None):
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
     x_leaf = T.Value(values.reshape(w * n, 1), requires_grad=True)
     q_flat = params.encoding.codes_flat(window.step_offsets, n, window.nodes)
-    obs_pos = np.flatnonzero(input_mask.ravel() == 1)
-    targ_pos = np.flatnonzero(input_mask.ravel() == 0)
+    obs_pos = np.flatnonzero(input_mask)
+    targ_pos = np.flatnonzero(~input_mask)
     h_obs = params.init_observed(T.concat(
         [T.gather_rows(x_leaf, obs_pos), T.gather_rows(q_flat, obs_pos)], axis=-1))
     h_targ = params.init_target(T.gather_rows(q_flat, targ_pos))

@@ -45,12 +45,11 @@ def forward_fn(params):
 def spin_loss(output, truth, loss_mask) -> T.Value:
     """Layer-wise training loss for one window.
 
-    Sum over layers of mean |prediction - truth| over loss_mask=1
-    positions. Gradients flow into every layer's readout, supervising the
-    representations at each depth.
+    Sum over layers of mean |prediction - truth| over the positions
+    loss_mask selects. Gradients flow into every layer's readout,
+    supervising the representations at each depth.
     """
-    loss_mask = np.asarray(loss_mask)
-    pos = np.flatnonzero(loss_mask.ravel() == 1)
+    pos = np.flatnonzero(loss_mask)
     if len(pos) == 0:
         raise EmptySetError("loss mask selects no positions")
     truth_rows = T.Value(np.asarray(truth, dtype=np.float64).reshape(-1, 1)[pos])
@@ -120,7 +119,7 @@ def draw_batch(rng, train_view: Dataset, graph: SensorGraph,
             raise ValidationError(
                 "whiten produced loss targets on evaluation entries")
         if seed_mask is not None:
-            loss_mask = loss_mask * seed_mask.astype(np.uint8)[None, :]
+            loss_mask = loss_mask & seed_mask
             if not loss_mask.any():
                 continue
         batch.append((win, input_mask, loss_mask))
@@ -208,9 +207,8 @@ def _validation_mae(val_windows, val_masks, graph, params):
         for win, masks in zip(val_windows, val_masks):
             if masks is None:
                 continue
-            input_mask, loss_mask = masks
+            input_mask, sel = masks
             out = fwd(win, graph, params, input_mask=input_mask)
-            sel = loss_mask == 1
             errors += float(np.abs(out.predictions[sel] - win.values[sel]).sum())
             count += int(sel.sum())
     if count == 0:
@@ -222,7 +220,7 @@ def fit_node_means(dataset: Dataset, train_slice=None):
     """Per-node mean of valid training entries, plus the global fallback."""
     sl = train_slice if train_slice is not None else slice(None)
     values = dataset.values[sl]
-    mask = dataset.mask[sl].astype(bool)
+    mask = dataset.mask[sl]
     if not mask.any():
         raise ValidationError("no valid entries to fit node means")
     global_mean = float(values[mask].mean())
@@ -236,9 +234,7 @@ def fit_node_means(dataset: Dataset, train_slice=None):
 
 def baseline_mean(window: SpatioTemporalWindow, node_means):
     """Fill each missing entry with its node's training mean (or fallback)."""
-    filled = np.where(window.mask == 1, window.values,
-                      np.asarray(node_means)[None, :])
-    return filled
+    return np.where(window.mask, window.values, np.asarray(node_means)[None, :])
 
 
 def baseline_knn(window: SpatioTemporalWindow, graph: SensorGraph, node_means):
@@ -249,7 +245,7 @@ def baseline_knn(window: SpatioTemporalWindow, graph: SensorGraph, node_means):
     """
     adjacency = np.zeros((graph.n_nodes, graph.n_nodes))
     adjacency[graph.src, graph.dst] = graph.weight
-    observed = window.mask == 1
+    observed = window.mask
     numer = np.where(observed, window.values, 0.0) @ adjacency  # (W, N)
     denom = observed @ adjacency
     knn = np.where(denom > 0.0, numer / np.maximum(denom, 1e-300),
@@ -278,7 +274,7 @@ def _score_windows(windows, predict, stats, n_nodes):
     node_cnt = np.zeros(n_nodes, dtype=np.intp)
     n_eval = 0
     for win in windows:
-        sel = win.eval_mask == 1
+        sel = win.eval_mask
         if not sel.any():
             continue
         pred = stats.invert(predict(win))

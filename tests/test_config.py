@@ -225,6 +225,32 @@ def test_evaluate_names_w_longer_than_the_test_split(files, capsys):
                    "12 steps\n"), err
 
 
+def test_impute_names_w_longer_than_the_series(files, capsys):
+    tmp_path, _, doc = files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 0
+    doc["data"]["W"] = N_STEPS + 1
+    config.write_text(json.dumps(doc))
+    assert main(["impute", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {config}: 'data.W' ({N_STEPS + 1}) exceeds the "
+                   f"series' {N_STEPS} steps\n"), err
+
+
+def test_evaluate_without_injection_names_the_policy(files, capsys):
+    # Only an injection hides entries with ground truth, so with the
+    # default policy "none" evaluate has nothing to score.
+    tmp_path, _, doc = files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["evaluate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {config}: 'inject.policy' ('none') hides no entry "
+                   "in the test windows to score\n"), err
+
+
 def test_valid_inputs_train(files):
     tmp_path, _, doc = files
     config = tmp_path / "config.json"
