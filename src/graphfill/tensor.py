@@ -415,7 +415,10 @@ def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
             g_hid = (np.stack([a, g_logit], axis=-1)
                      @ np.concatenate([gp, np.broadcast_to(v, gp.shape)], axis=2))
             g_hid *= hid > 0.0
-            g_fq[sets] = g_hid.sum(axis=2).reshape(-1, hidden)
+            # einsum sums the key axis about 2x faster than .sum(axis=2)
+            # (hidden 32, c 10-90), with the same bits when hidden > 1; at
+            # hidden 1 both reduce a contiguous axis, in different orders
+            g_fq[sets] = np.einsum("gqkh->gqh", g_hid).reshape(-1, hidden)
             g_fk[k:k + keys.size] = g_hid.sum(axis=1).reshape(-1, hidden)
             k += keys.size
         g_w_out = pooled.T @ g

@@ -16,6 +16,7 @@ data units before reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -127,19 +128,31 @@ def draw_batch(rng, train_view: Dataset, graph: SensorGraph,
 
 
 def train_step(state: TrainState, graph: SensorGraph, batch, lr) -> float:
-    """One optimizer step on one tape; returns the batch's loss, the mean
-    over its windows of `spin_loss` (a sum over layers)."""
+    """One optimizer step on one tape per window, last window first;
+    returns the batch's loss, the mean over its windows of `spin_loss` (a
+    sum over layers).
+
+    A window's root is its term over the window count: its backward seeds
+    it with the 1/n that one tape over the batch would, and the leaves sum
+    window by window in that tape's reverse order. So the bits are the
+    same, and one window's activations are alive at a time. A divergence
+    clears every gradient before it raises.
+    """
     fwd = forward_fn(state.params)
+    n = float(len(batch))
+    terms = []
     try:
-        with T.Tape():
-            acc = None
-            for win, input_mask, loss_mask in batch:
-                out = fwd(win, graph, state.params, input_mask=input_mask)
-                term = spin_loss(out, win.values, loss_mask)
-                acc = term if acc is None else T.add(acc, term)
-            loss = T.div(acc, float(len(batch)))
-            T.backward(loss)
+        for win, input_mask, loss_mask in reversed(batch):
+            with T.Tape():
+                term = spin_loss(fwd(win, graph, state.params,
+                                     input_mask=input_mask),
+                                 win.values, loss_mask)
+                T.backward(T.div(term, n))
+            terms.append(term.data)
+        loss = T.div(reduce(T.add, reversed(terms)), n)
     except NonFiniteError as exc:
+        for p in state.adam.params:
+            p.grad = None
         raise DivergenceError(f"non-finite loss at epoch {state.epoch}, "
                               f"step {state.step}: {exc}") from exc
     clip_global_norm(state.adam.params, GRAD_CLIP_NORM)

@@ -1,10 +1,13 @@
-"""The training loop as it stood before it was split into pieces.
+"""The training loop and step as they stood before they were rewritten.
 
 `graphfill.train.train` now runs each epoch as a loop over `draw_batch`
-and `train_step`, with its state in a `TrainState`. This is the single
-function it replaced, kept so that tests can check the new loop against
-it bit for bit, the way `unfused_ops.py` keeps the old attention. It
-calls the package's own loss, forward, whitening, clipping and Adam.
+and `train_step`, with its state in a `TrainState`. `reference_train` is
+the single function it replaced. `graphfill.train.train_step` now runs one
+tape per window, last window first; `reference_train_step` is the step
+that recorded the whole batch on one tape. Both are kept so that tests can
+check the new code against them bit for bit, the way `unfused_ops.py`
+keeps the old attention. They call the package's own loss, forward,
+whitening, clipping and Adam.
 """
 
 from __future__ import annotations
@@ -17,9 +20,32 @@ from graphfill.data import Dataset, make_windows, split_slices, training_whiten
 from graphfill.errors import DivergenceError, NonFiniteError, ValidationError
 from graphfill.graph import SensorGraph, khop_subgraph
 from graphfill.optim import AdamState, adam_step, clip_global_norm, lr_schedule
-from graphfill.train import (GRAD_CLIP_NORM, _column_subset_window,
-                             _val_input_and_loss_masks, _validation_mae,
-                             forward_fn, spin_loss)
+from graphfill.train import (GRAD_CLIP_NORM, TrainState,
+                             _column_subset_window, _val_input_and_loss_masks,
+                             _validation_mae, forward_fn, spin_loss)
+
+
+def reference_train_step(state: TrainState, graph: SensorGraph, batch,
+                         lr) -> float:
+    """One optimizer step on one tape; returns the batch's loss, the mean
+    over its windows of `spin_loss` (a sum over layers)."""
+    fwd = forward_fn(state.params)
+    try:
+        with T.Tape():
+            acc = None
+            for win, input_mask, loss_mask in batch:
+                out = fwd(win, graph, state.params, input_mask=input_mask)
+                term = spin_loss(out, win.values, loss_mask)
+                acc = term if acc is None else T.add(acc, term)
+            loss = T.div(acc, float(len(batch)))
+            T.backward(loss)
+    except NonFiniteError as exc:
+        raise DivergenceError(f"non-finite loss at epoch {state.epoch}, "
+                              f"step {state.step}: {exc}") from exc
+    clip_global_norm(state.adam.params, GRAD_CLIP_NORM)
+    adam_step(state.adam, lr)
+    state.step += 1
+    return float(loss.data)
 
 
 def reference_train(dataset: Dataset, graph: SensorGraph, config: TrainConfig,

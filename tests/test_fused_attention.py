@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfill.tensor as T
 import unfused_ops as U
@@ -216,3 +218,20 @@ def test_spinh_stack_matches_unfused(monkeypatch):
         window, graph, params = random_hub_case(seed + 90, n_nodes=4,
                                                 per_node_hubs=seed == 2)
         compare_stacks(monkeypatch, spinh_forward, window, graph, params)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 24), st.integers(1, 90),
+       st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_key_axis_einsum_sums_like_numpy_sum(g, wq, c, hidden, seed):
+    # The backward sums a block's (G, Wq, c, hidden) pair gradients over
+    # the key axis with einsum, relying on it adding the c terms in the
+    # order .sum(axis=2) does; relu zeroes many of them. At hidden 1 the
+    # key axis is the contiguous one, and the two add in different orders
+    # (the last bit may differ), so that width is left out.
+    rng = np.random.default_rng(seed)
+    g_hid = (rng.normal(size=(g, wq, c, hidden))
+             * 10.0 ** rng.integers(-8, 9, size=(g, wq, c, 1))
+             * (rng.random((g, wq, c, hidden)) > 0.4))
+    got = np.einsum("gqkh->gqh", g_hid)
+    assert got.tobytes() == g_hid.sum(axis=2).tobytes()

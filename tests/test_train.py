@@ -1,19 +1,23 @@
 """Training loop, loss, baselines, and evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import graphfill.tensor as T
+import graphfill.train
 from graphfill.config import SubsampleConfig
 from graphfill.data import (Dataset, SpatioTemporalWindow, normalize,
                             split_slices, training_whiten)
-from graphfill.errors import DivergenceError, ValidationError
+from graphfill.errors import DivergenceError, NonFiniteError, ValidationError
 from graphfill.graph import SensorGraph, khop_subgraph
+from graphfill.optim import AdamState
 from graphfill.spin import SpinParameters, spin_forward
 from graphfill.spin_h import SpinHParameters, spinh_forward
-from graphfill.train import (TrainConfig, baseline_knn, baseline_mean, evaluate,
-                             evaluate_baseline, fit_node_means, spin_loss,
-                             train)
+from graphfill.train import (TrainConfig, TrainState, baseline_knn,
+                             baseline_mean, evaluate, evaluate_baseline,
+                             fit_node_means, spin_loss, train, train_step)
 from test_spin import random_case as spin_case
 from test_spin_h import random_case as hub_case
 
@@ -147,6 +151,88 @@ def test_huge_learning_rate_raises_divergence():
                        warmup_steps=1, patience=1)
     with pytest.raises(DivergenceError):
         train(ds, graph, cfg, params)
+
+
+def fresh_state(params, seed=0, **kw):
+    return TrainState(params=params, rng=np.random.default_rng(seed),
+                      adam=AdamState(params.parameters()), best_state=[], **kw)
+
+
+def whitened_batch(dataset, offsets, width, rng):
+    """[(window, input_mask, loss_mask)] for the windows at `offsets`."""
+    windows = [dataset.window(off, width) for off in offsets]
+    return [(win, *training_whiten(win, rng=rng)) for win in windows]
+
+
+def test_divergence_leaves_no_gradient_behind(monkeypatch):
+    # The step runs the batch's last window first, so a forward that fails
+    # on the first window fails after every other window's backward.
+    graph = ring_graph(4)
+    ds, _ = normalize(wave_dataset(), split_slices(120)[0])
+    params = tiny_params(7)
+    state = fresh_state(params, epoch=3, step=7)
+    batch = whitened_batch(ds, (0, 10, 20, 30), 6, state.rng)
+    seen = []
+
+    def failing_on_first(win, graph, params, input_mask=None):
+        seen.append(id(win))
+        if win is batch[0][0]:
+            raise NonFiniteError("non-finite values produced by a forward "
+                                 "operation")
+        return spin_forward(win, graph, params, input_mask=input_mask)
+
+    monkeypatch.setattr(graphfill.train, "spin_forward", failing_on_first)
+    with pytest.raises(DivergenceError, match="at epoch 3, step 7: non-finite"):
+        train_step(state, graph, batch, lr=0.01)
+    assert seen == [id(win) for win, _, _ in reversed(batch)]
+    assert all(p.grad is None for p in params.parameters())
+    assert state.step == 7 and state.adam.t == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_terms_whose_sum_overflows_raise_divergence(monkeypatch):
+    # Every window's term is finite (about 6e307), so each window runs its
+    # backward; their sum is not, and the step must still diverge.
+    graph = ring_graph(4)
+    ds, _ = normalize(wave_dataset(), split_slices(120)[0])
+    params = tiny_params(7)
+    state = fresh_state(params, epoch=2, step=5)
+    batch = whitened_batch(ds, (0, 10, 20, 30), 6, state.rng)
+
+    def huge_loss(output, truth, loss_mask):
+        term = spin_loss(output, truth, loss_mask)
+        return T.div(term, T.Value(term.data / 6e307))
+
+    monkeypatch.setattr(graphfill.train, "spin_loss", huge_loss)
+    with pytest.raises(DivergenceError, match="at epoch 2, step 5: non-finite"):
+        train_step(state, graph, batch, lr=0.01)
+    assert all(p.grad is None for p in params.parameters())
+
+
+def test_step_memory_does_not_grow_with_batch():
+    # A step holds one window's activations at a time, so its allocation
+    # peak with 8 windows stays near the largest one-window peak; one tape
+    # over the whole batch holds all 8 (about 6x at W=24, N=20).
+    n_nodes, width = 6, 12
+    rng = np.random.default_rng(0)
+    edges = [(i, j, 1.0) for i in range(n_nodes) for j in range(n_nodes)
+             if i != j and rng.random() < 0.5]
+    graph = SensorGraph(n_nodes, edges)
+    ds, _ = normalize(wave_dataset(n_nodes=n_nodes), split_slices(120)[0])
+    batch = whitened_batch(ds, range(0, 80, 10), width, rng)
+
+    def peak(windows):
+        state = fresh_state(tiny_params(8, n_nodes=n_nodes))
+        tracemalloc.start()
+        try:
+            train_step(state, graph, windows, lr=0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(batch[:1])  # warm up: a first step may allocate one-time caches
+    one = max(peak([item]) for item in batch)
+    assert peak(batch) <= 1.25 * one  # 1.03 here; 5.7 with one tape
 
 
 def test_whiten_onto_eval_entries_is_rejected(monkeypatch):
