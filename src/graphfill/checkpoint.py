@@ -16,13 +16,14 @@ from .errors import ValidationError
 
 
 def save_params(path, named_params):
-    """Write [(name, Value)] to `path`, atomically."""
+    """Write [(name, Value)] to `path`, atomically, as strict JSON: a
+    non-finite parameter raises ValueError and writes nothing."""
     doc = {}
     for name, p in named_params:
         doc[name] = {"shape": list(p.data.shape),
                      "data": [float(x) for x in p.data.ravel()]}
     with atomic_write(path) as f:
-        json.dump(doc, f)
+        json.dump(doc, f, allow_nan=False)
 
 
 def load_params(path, named_params):

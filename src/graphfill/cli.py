@@ -7,14 +7,16 @@ output-directory override. `main` writes a resolved-config snapshot into
 the output directory after every successful command, so a run can be
 replayed bit-exactly.
 
-Exit codes: 0 success, 1 bad config or input, or a path that cannot be
-opened or created (the file is named), 2 runtime failure.
+Exit codes: 0 success, 1 bad config or input, a metric that the input
+leaves empty or non-finite, or a path that cannot be opened or created
+(the file is named), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -46,10 +48,33 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output.dir
 
 
+def _nonfinite_key(doc, where=""):
+    """The key path of the first non-finite float in a JSON-ready document
+    ("spin.per_window[3]"), in written order; None if every float is finite."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else where
+    if isinstance(doc, dict):
+        items = ((f"{where}.{k}" if where else k, v) for k, v in sorted(doc.items()))
+    elif isinstance(doc, (list, tuple)):
+        items = ((f"{where}[{k}]", v) for k, v in enumerate(doc))
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite_key(value, key)
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
+    """Write `payload` as strict JSON; a non-finite number raises a
+    MetricError naming its key path."""
+    bad = _nonfinite_key(payload)
+    if bad is not None:
+        raise MetricError(f"{name}: '{bad}' is not a finite number")
     path = os.path.join(_outdir(cfg), name)
     with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     return path
 
@@ -94,7 +119,10 @@ def prepare(cfg: RunConfig):
     raw = apply_inject(load_dataset(cfg.data.values_csv, cfg.data.mask_csv),
                        cfg.inject)
     train_sl, _, _ = split_slices(raw.n_steps, cfg.data.split)
-    dataset, stats = normalize(raw, train_sl)
+    try:
+        dataset, stats = normalize(raw, train_sl)
+    except ValidationError as exc:
+        raise ValidationError(f"{cfg.data.values_csv}: {exc}") from None
     graph = build_graph(cfg, raw.n_nodes)
     return dataset, stats, graph, raw
 
@@ -332,6 +360,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         where = f"{args.config}: " if isinstance(exc, FieldError) else ""
         print(f"error: {where}{exc}", file=sys.stderr)
+        return 1
+    except MetricError as exc:  # a score the input leaves empty or non-finite
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, FileExistsError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:

@@ -299,15 +299,26 @@ def normalize(dataset: Dataset, train_slice=None):
     if picked.size < 2:
         raise ValidationError(
             f"need at least 2 valid training entries to normalize, got {picked.size}")
-    mean = float(picked.mean())
-    std = float(picked.std())
+    # The stats come from the values scaled by a power of two that brings
+    # the largest into [0.5, 1), then are scaled back. That is exact, so
+    # ordinary data gives the same bits, and squares neither overflow (one
+    # 1e160 cell) nor underflow (a series of order 1e-300). Both stats are
+    # then finite: neither exceeds the largest |value|.
+    _, exp = np.frexp(np.max(np.abs(picked)))
+    scaled = np.ldexp(picked, -exp)
+    mean = float(np.ldexp(scaled.mean(), exp))
+    std = float(np.ldexp(scaled.std(), exp))
     if std == 0.0:
         raise ValidationError("zero variance over valid training entries; "
                               "cannot standardize a constant signal")
     stats = Stats(mean=mean, std=std)
     defined = dataset.mask | dataset.eval_mask
     values = dataset.values.copy()
-    values[defined] = stats.apply(values[defined])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        values[defined] = stats.apply(values[defined])
+    if not np.isfinite(values[defined]).all():
+        raise ValidationError(f"values span too wide a range to standardize "
+                              f"(mean {mean!r}, std {std!r})")
     return replace(dataset, values=values, stats=stats), stats
 
 

@@ -80,5 +80,5 @@ class EncodingParams:
         w = len(step_offsets)
         u_flat = T.Value(np.repeat(u, n_nodes, axis=0))
         v_flat = T.gather_rows(self.spatial, np.tile(nodes, w))
-        return self.fuse(T.concat([u_flat, v_flat], axis=-1))
+        return self.fuse(u_flat, v_flat)
 

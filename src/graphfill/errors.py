@@ -34,7 +34,7 @@ class KernelError(ValidationError):
 
 
 class MetricError(GraphfillError):
-    """A metric was requested over an empty evaluation set."""
+    """A metric has no entries to score, or is not a finite number."""
 
 
 class DivergenceError(GraphfillError):

@@ -13,6 +13,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 
+
 class Mlp:
     """Fully connected layers: linear + ReLU repeated, final layer linear."""
 
@@ -39,14 +40,7 @@ class Mlp:
             out.append((f"{prefix}.layer{k}.bias", b))
         return out
 
-    def __call__(self, x):
-        x = T.as_value(x)
-        if x.data.shape[-1] != self.widths[0]:
-            raise ShapeError(
-                f"input feature width {x.data.shape[-1]} != layer width {self.widths[0]}")
-        n = len(self.weights)
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.matmul(x, w) + b
-            if k < n - 1:
-                x = T.relu(x)
-        return x
+    def __call__(self, *parts):
+        """The MLP over the concatenation of `parts` along their last axis,
+        recorded as one tape op."""
+        return T.mlp(parts, self.weights, self.biases)

@@ -270,8 +270,8 @@ def init_states(params, window, graph, input_mask=None):
     q_flat = params.encoding.codes_flat(window.step_offsets, n, window.nodes)
     obs_pos = np.flatnonzero(input_mask)
     targ_pos = np.flatnonzero(~input_mask)
-    h_obs = params.init_observed(T.concat(
-        [T.gather_rows(x_leaf, obs_pos), T.gather_rows(q_flat, obs_pos)], axis=-1))
+    h_obs = params.init_observed(T.gather_rows(x_leaf, obs_pos),
+                                 T.gather_rows(q_flat, obs_pos))
     h_targ = params.init_target(T.gather_rows(q_flat, targ_pos))
     h = T.scatter_rows(T.concat([h_obs, h_targ], axis=0),
                        np.concatenate([obs_pos, targ_pos]), w * n)
@@ -292,7 +292,7 @@ def position_update(blk, key_src, h, self_sets, cross_sets):
                                      score=blk[f"{branch}_score"])
         parts.append(ctx)
         pairs[branch] = sets.n_pairs
-    return blk["update"](T.concat(parts, axis=-1)), pairs, audits
+    return blk["update"](*parts), pairs, audits
 
 
 def run_layers(params, x_leaf, h, shape, layer) -> ImputationOutput:

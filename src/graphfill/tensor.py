@@ -8,14 +8,15 @@ inputs, because no gradient array is ever written in place. With no
 active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: add, sub, div, vabs, relu, matmul
-against a 2-D weight, concat, reshape, vsum/vmean, gather_rows (repeated
-rows sum their gradients), scatter_rows (a scatter-add), and
-attention_blocks, one fused op for a whole attention branch (the message
-MLP over [key, query] pairs, per-set softmax and weighted sum, contexts
-summed onto query rows) over dense blocks of sets that share their keys.
-That is enough for MLPs, softmax attention over variable-size message
-sets, and training.
+The op set is deliberately small: add, sub, div, vabs, concat, reshape,
+vsum/vmean, gather_rows (repeated rows sum their gradients), scatter_rows
+(a scatter-add), and two model-level ops: mlp, one record for a whole
+multi-layer perceptron over the concatenation of its input parts, and
+attention_blocks, one for a whole attention branch (the message MLP over
+[key, query] pairs, per-set softmax and weighted sum, contexts summed
+onto query rows) over dense blocks of sets that share their keys. That
+is enough for MLPs, softmax attention over variable-size message sets,
+and training.
 
 Every operation result must be finite; NaN or Inf raises immediately
 rather than propagating. Leaves are exempt so that deliberately poisoned
@@ -119,9 +120,6 @@ class Value:
     def __repr__(self):
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
 
 def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
@@ -206,32 +204,6 @@ def vabs(a):
     return _make_output(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
-def relu(a):
-    a = as_value(a)
-    return _make_output(np.maximum(a.data, 0.0), (a,),
-                        lambda g: (g * (a.data > 0.0),))
-
-
-def matmul(a, b):
-    """a @ b with 2-D b; a may carry up to two leading batch axes."""
-    a, b = as_value(a), as_value(b)
-    if b.data.ndim != 2:
-        raise ShapeError(f"matmul weight must be 2-D, got shape {b.data.shape}")
-    if a.data.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul inner axes disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def backfn(g):
-        ga = g @ b.data.T
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        g2 = g.reshape(-1, b.data.shape[1])
-        gb = a2.T @ g2
-        return ga.reshape(a.data.shape), gb
-
-    return _make_output(data, (a, b), backfn)
-
-
 def concat(values, axis=-1):
     values = [as_value(v) for v in values]
     data = np.concatenate([v.data for v in values], axis=axis)
@@ -305,6 +277,72 @@ def scatter_rows(rows, idx, n_rows):
     idx = np.asarray(idx, dtype=np.intp)
     data = _scatter_add(rows.data, idx, n_rows)
     return _make_output(data, (rows,), lambda g: (g[idx],))
+
+
+def mlp(parts, weights, biases):
+    """A multi-layer perceptron over the concatenated `parts`, as one tape op.
+
+    The parts are joined along their last axis into h; layer k then forms
+    h @ weights[k] + biases[k], with a relu after every layer but the
+    last. The forward runs the numpy statements of the unfused chain
+    (concat, then per layer matmul, add and relu), and the backward runs
+    that chain's reverse replay in the same expressions and order, so the
+    values and every gradient are the same bits.
+
+    The record keeps the parts and the hidden relu outputs only. The
+    backward joins the parts again for the first layer's weight gradient,
+    and takes a hidden layer's relu mask from its output (relu(x) > 0
+    exactly where x > 0). Each layer's affine output is checked for
+    finite values once: a finite bias cannot make a non-finite product
+    finite, and a relu of finite values is finite.
+    """
+    parts = [as_value(p) for p in parts]
+    weights = [as_value(w) for w in weights]
+    biases = [as_value(b) for b in biases]
+    lead = parts[0].data.shape[:-1]
+    if any(p.data.ndim < 1 or p.data.shape[:-1] != lead for p in parts):
+        raise ShapeError(f"mlp parts disagree on their leading axes: "
+                         f"{[p.data.shape for p in parts]}")
+    widths = [p.data.shape[-1] for p in parts]
+    width = sum(widths)
+    for k, w in enumerate(weights):
+        if w.data.ndim != 2 or w.data.shape[0] != width:
+            raise ShapeError(f"layer {k} weight {w.data.shape} does not take "
+                             f"input feature width {width}")
+        width = w.data.shape[1]
+    offsets = np.cumsum([0] + widths)
+
+    def joined():
+        if len(parts) == 1:
+            return parts[0].data
+        return np.concatenate([p.data for p in parts], axis=-1)
+
+    hidden = []  # relu outputs of layers 0 .. n-2
+    h = joined()
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            h = h @ w.data
+            h += b.data
+        if k == len(weights) - 1:
+            break
+        _check_finite(h)
+        hidden.append(np.maximum(h, 0.0, out=h))
+
+    def backfn(g):
+        g_w, g_b = [None] * len(weights), [None] * len(biases)
+        for k in range(len(weights) - 1, -1, -1):
+            w = weights[k].data
+            g_b[k] = _unbroadcast(g, biases[k].data.shape)
+            a = hidden[k - 1] if k else joined()
+            g_a = g @ w.T
+            g_w[k] = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, w.shape[1])
+            if k:
+                g_a *= hidden[k - 1] > 0.0
+            g = g_a
+        pieces = tuple(g[..., offsets[j]:offsets[j + 1]] for j in range(len(parts)))
+        return pieces + tuple(g_w) + tuple(g_b)
+
+    return _make_output(h, (*parts, *weights, *biases), backfn)
 
 
 # Logits further than this below their set max contribute < 1e-26 of the

@@ -97,3 +97,12 @@ def test_nonfinite_checkpoint_rejected(tmp_path):
         json.dump(doc, f)
     with pytest.raises(ValidationError):
         load_params(path, mlp.named_parameters("m"))
+
+
+def test_nonfinite_parameter_is_not_saved(tmp_path):
+    mlp = Mlp([2, 3, 1], np.random.default_rng(6))
+    mlp.biases[0].data[1] = np.inf
+    path = os.path.join(tmp_path, "ckpt.json")
+    with pytest.raises(ValueError):  # strict JSON has no Infinity
+        save_params(path, mlp.named_parameters("m"))
+    assert os.listdir(tmp_path) == []

@@ -238,3 +238,72 @@ def test_hub_variant_trains_and_evaluates(pipeline, tmp_path):
     with open(tmp_path / "hub_run" / "metrics.json") as f:
         metrics = json.load(f)
     assert set(metrics) == {"spin-h", "mean", "knn"}
+
+
+def strict_json(path):
+    """The document at `path`, refusing the NaN and Infinity that only
+    Python's json module writes and reads."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    with open(path) as f:
+        return json.load(f, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("scale", ["outlier", "tiny"])
+def test_extreme_value_ranges_give_finite_artifacts(pipeline, tmp_path, scale):
+    # One finite 1e160 training cell made the std overflow to inf; a series
+    # of order 1e-300 was refused as constant because its squares underflow.
+    raw = load_grid(pipeline["synth_dir"] / "values.csv")
+    if scale == "outlier":
+        raw[5, 2] = 1e160
+    else:
+        raw *= 1e-300
+    values_csv = tmp_path / "values.csv"
+    header = ",".join(f"s{i:02d}" for i in range(raw.shape[1]))
+    np.savetxt(values_csv, raw, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    cfg = json.loads(json.dumps(pipeline["run_cfg"]))
+    cfg["data"]["values_csv"] = str(values_csv)
+    cfg["train"] = {"epochs_max": 1, "batches_per_epoch": 1, "batch_size": 2,
+                    "patience": 1, "seed": 0}
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    path = write_json(tmp_path / "cfg.json", cfg)
+    for command in ("train", "evaluate", "impute"):
+        assert main([command, "--config", path]) == 0, command
+    metrics = strict_json(tmp_path / "out" / "metrics.json")
+    assert all(np.isfinite(entry["mae"]) for entry in metrics.values())
+    assert np.all(np.isfinite(load_grid(tmp_path / "out" / "imputed.csv")))
+    strict_json(tmp_path / "out" / "checkpoint.json")
+
+
+def test_unstandardizable_values_name_the_values_file(pipeline, tmp_path, capsys):
+    # finite training stats, but an evaluation cell that overflows once
+    # standardized
+    raw = load_grid(pipeline["synth_dir"] / "values.csv")
+    raw[-1, 0] = 1.7e308
+    values_csv = tmp_path / "wide.csv"
+    np.savetxt(values_csv, raw, fmt="%.17g", delimiter=",",
+               header=",".join(f"s{i:02d}" for i in range(raw.shape[1])),
+               comments="")
+    cfg = json.loads(json.dumps(pipeline["run_cfg"]))
+    cfg["data"]["values_csv"] = str(values_csv)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main(["train", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
+    assert f"error: {values_csv}: " in capsys.readouterr().err
+
+
+def test_nonfinite_metric_is_named_and_not_written(pipeline, tmp_path,
+                                                   monkeypatch, capsys):
+    import graphfill.cli as cli
+    score = {"mae": 0.5, "n_eval": 3, "per_window": [0.5, float("nan")],
+             "per_node": [0.5, None]}
+    monkeypatch.setattr(cli, "evaluate", lambda *args: score)
+    cfg = json.loads(json.dumps(pipeline["run_cfg"]))
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    path = write_json(tmp_path / "cfg.json", cfg)
+    rc = main(["evaluate", "--config", path,
+               "--checkpoint", str(pipeline["run_dir"] / "checkpoint.json")])
+    assert rc == 1
+    assert "metrics.json: 'spin.per_window[1]' is not a finite number" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.json").exists()

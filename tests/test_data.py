@@ -129,6 +129,42 @@ def test_normalize_uses_training_slice_only():
     assert abs(got.std() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 3e4, 2.0 ** -40])
+def test_normalize_stats_are_the_plain_stats_bit_for_bit(scale):
+    # scaling by a power of two before the mean and std is exact
+    ds = small_dataset(t=50, seed=3)
+    ds = dataclasses.replace(ds, values=ds.values * scale)
+    _, stats = normalize(ds)
+    assert stats.mean == float(ds.values.mean())
+    assert stats.std == float(ds.values.std())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_normalize_extreme_scales(scale):
+    ds = small_dataset(t=50, seed=4)
+    ds = dataclasses.replace(ds, values=ds.values * scale)
+    out, stats = normalize(ds)
+    assert np.isfinite(out.values).all()
+    assert abs(out.values.mean()) < 1e-12 and abs(out.values.std() - 1.0) < 1e-12
+    assert stats.std / scale == pytest.approx(small_dataset(t=50, seed=4).values.std())
+
+
+def test_normalize_single_huge_cell_gives_finite_stats():
+    ds = small_dataset(t=50)
+    ds.values[3, 1] = 1e160
+    out, stats = normalize(ds)
+    assert np.isfinite([stats.mean, stats.std]).all() and stats.std > 0.0
+    assert np.isfinite(out.values).all()
+
+
+def test_normalize_rejects_values_that_overflow_once_standardized():
+    ds = small_dataset(t=50)
+    ds.values[:] *= 1e-3  # std below 1
+    ds.values[-1, 0] = 1.7e308  # outside the training slice
+    with pytest.raises(ValidationError, match="too wide a range"):
+        normalize(ds, slice(0, 35))
+
+
 def test_normalize_rejects_constant_signal():
     ds = Dataset(values=np.ones((10, 2)), mask=np.ones((10, 2), dtype=np.uint8))
     with pytest.raises(ValidationError):

@@ -273,7 +273,8 @@ def test_gradients_reach_every_parameter():
                                         n_masked=1)
     with T.Tape():
         out = spin_forward(window, graph, params)
-        loss = T.vmean(T.vabs(out.readouts[0])) + T.vmean(T.vabs(out.readouts[-1]))
+        loss = T.add(T.vmean(T.vabs(out.readouts[0])),
+                     T.vmean(T.vabs(out.readouts[-1])))
         T.backward(loss)
     for name, p in params.named_parameters():
         g = p.grad

@@ -63,7 +63,7 @@ def test_unary_op_grads():
     a = rng.normal(size=(5, 2)) * 2.0 + 0.3  # keep away from kinks at 0
 
     def fv(a):
-        return T.vsum(T.add(T.vabs(a), T.add(T.relu(a),
+        return T.vsum(T.add(T.vabs(a), T.add(U.relu(a),
                                              U.vexp(U.clamp(a, -1.0, 1.0)))))
 
     def ff(a):
@@ -79,7 +79,7 @@ def test_matmul_grads():
     w = rng.normal(size=(4, 3))
 
     def fv(a, w):
-        return T.vsum(U.mul(T.matmul(a, w), T.matmul(a, w)))
+        return T.vsum(U.mul(U.matmul(a, w), U.matmul(a, w)))
 
     def ff(a, w):
         return float(np.sum((a @ w) ** 2))
@@ -93,7 +93,7 @@ def test_broadcast_bias_grads():
     b = rng.normal(size=3)
 
     def fv(a, b):
-        return T.vsum(T.relu(T.add(a, b)))
+        return T.vsum(U.relu(T.add(a, b)))
 
     def ff(a, b):
         return float(np.sum(np.maximum(a + b, 0.0)))
@@ -223,7 +223,7 @@ def test_pair_messages_matches_unfused_composition():
     def fv_unfused(fk, fq, w, b_in, b_out):
         pre = T.add(T.add(T.gather_rows(fk, key_idx),
                           T.gather_rows(fq, query_idx)), b_in)
-        out = T.add(T.matmul(T.relu(pre), w), b_out)
+        out = T.add(U.matmul(U.relu(pre), w), b_out)
         return T.vsum(U.mul(out, out))
 
     def ff(fk, fq, w, b_in, b_out):
@@ -319,7 +319,7 @@ def test_leaves_sharing_a_backfn_array_sum_into_their_own():
         u = T.concat([a, b], axis=0)
         c = T.add(a, b)
         rows = T.reshape(T.concat([c, u], axis=0), (3, 6))
-        T.backward(T.vsum(T.matmul(rows, w)))
+        T.backward(T.vsum(U.matmul(rows, w)))
     g = np.tile(w.T, (3, 1)).reshape(6, 3)  # d(loss)/d[c; a; b]
     assert np.array_equal(a.grad, g[0:2] + g[2:4])
     assert np.array_equal(b.grad, g[0:2] + g[4:6])
@@ -372,7 +372,7 @@ def test_finite_entries_whose_sum_overflows_pass():
     big = np.full(3, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = T.relu(T.Value(big))
+        out = U.relu(T.Value(big))
     assert np.array_equal(out.data, big)
 
 
@@ -387,7 +387,7 @@ def test_matmul_shape_errors():
     a = T.Value(np.ones((2, 3)))
     b = T.Value(np.ones((4, 2)))
     with pytest.raises(ShapeError):
-        T.matmul(a, b)
+        U.matmul(a, b)
 
 
 def test_empty_softmax_rejected():
@@ -407,9 +407,9 @@ def test_gradcheck_randomized_compositions():
         starts = np.array([0, 3])  # two segments: rows [0,3) and [3,8)
 
         def fv(a, w1, w2):
-            h = T.relu(T.matmul(a, w1))
+            h = U.relu(U.matmul(a, w1))
             g = T.gather_rows(h, idx)
-            logits = T.matmul(g, w2)
+            logits = U.matmul(g, w2)
             alpha = U.segment_softmax(logits, starts)
             pooled = U.segment_weighted_sum(alpha, g, starts)
             return T.vmean(T.vabs(pooled))

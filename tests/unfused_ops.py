@@ -1,4 +1,9 @@
-"""Ops that only the tests use, and two references for block attention.
+"""Ops that only the tests use, and references for the fused ops.
+
+`graphfill.tensor.mlp` runs a whole multi-layer perceptron as one tape
+op. `mlp_chain` is the chain it replaces, wired up exactly as the
+package did before: concat of the parts, then per layer `matmul`, `add`
+of the bias and `relu` on hidden layers, five records per two layers.
 
 `graphfill.tensor.attention_blocks` computes one attention branch over
 dense (G, Wq, c) blocks as a single tape op. The tests compare it with
@@ -11,8 +16,8 @@ two older paths, both over flat message sets (key_idx, starts, query):
 * `attention_sets`, the fused flat op that came next, one row per
   (key, query) pair.
 
-`flat_sets` turns blocks into those flat sets. `mul` is the elementwise
-product, which the package itself does not need.
+`flat_sets` turns blocks into those flat sets. `mul`, `relu` and
+`matmul` are ops the package itself no longer needs.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 import graphfill.tensor as T
-from graphfill.errors import EmptySetError
+from graphfill.errors import EmptySetError, ShapeError
 
 
 def mul(a, b):
@@ -32,6 +37,47 @@ def mul(a, b):
                 T._unbroadcast(g * a.data, b.data.shape))
 
     return T._make_output(data, (a, b), backfn)
+
+
+def relu(a):
+    a = T.as_value(a)
+    return T._make_output(np.maximum(a.data, 0.0), (a,),
+                          lambda g: (g * (a.data > 0.0),))
+
+
+def matmul(a, b):
+    """a @ b with 2-D b; a may carry up to two leading batch axes."""
+    a, b = T.as_value(a), T.as_value(b)
+    if b.data.ndim != 2:
+        raise ShapeError(f"matmul weight must be 2-D, got shape {b.data.shape}")
+    if a.data.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
+        raise ShapeError(
+            f"matmul inner axes disagree: {a.data.shape} @ {b.data.shape}")
+    data = a.data @ b.data
+
+    def backfn(g):
+        ga = g @ b.data.T
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        g2 = g.reshape(-1, b.data.shape[1])
+        gb = a2.T @ g2
+        return ga.reshape(a.data.shape), gb
+
+    return T._make_output(data, (a, b), backfn)
+
+
+def mlp_chain(parts, weights, biases):
+    """The chain `T.mlp` replaces, with its signature and results."""
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        x = T.add(matmul(x, w), b)
+        if k < len(weights) - 1:
+            x = relu(x)
+    return x
+
+
+def unfused_mlp_call(mlp, *parts):
+    """`Mlp.__call__` as it was before `T.mlp`: a stand-in for patching."""
+    return mlp_chain([T.as_value(p) for p in parts], mlp.weights, mlp.biases)
 
 
 def slice_rows(a, start, stop):
@@ -202,12 +248,12 @@ def unfused_attention(key_src, query_src, key_idx, starts, query, w_in, b_in,
     """The chain `attention_sets` replaces, with its signature and results."""
     key_src, query_src, w_in = (T.as_value(v) for v in (key_src, query_src, w_in))
     dk = key_src.data.shape[-1]
-    from_key = T.matmul(key_src, slice_rows(w_in, 0, dk))
-    from_query = T.matmul(query_src, slice_rows(w_in, dk, w_in.data.shape[0]))
+    from_key = matmul(key_src, slice_rows(w_in, 0, dk))
+    from_query = matmul(query_src, slice_rows(w_in, dk, w_in.data.shape[0]))
     counts = _segment_starts_to_counts(starts, len(key_idx))
     r = pair_messages(from_key, from_query, key_idx, np.repeat(query, counts),
                       w_out, b_in, b_out)
-    alpha = segment_softmax(T.matmul(r, score), starts)
+    alpha = segment_softmax(matmul(r, score), starts)
     ctx = segment_weighted_sum(alpha, r, starts)
     return T.scatter_rows(ctx, query, query_src.data.shape[0]), alpha.data
 
