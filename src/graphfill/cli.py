@@ -222,16 +222,23 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
     predictions = np.full(dataset.values.shape, np.nan)
     with T.no_grad():
         for start in starts:
-            pred = stats.invert(fwd(dataset.window(start, width), graph,
-                                    params).predictions)
+            pred = fwd(dataset.window(start, width), graph, params).predictions
             block = predictions[start:start + width]  # a view: filled in place
             block[np.isnan(block)] = pred[np.isnan(block)]
-    filled = np.where(dataset.mask, raw.values, predictions)
-    if not np.all(np.isfinite(filled)):
+    missing = ~dataset.mask
+    with np.errstate(over="ignore"):  # checked just below
+        inverted = stats.invert(predictions[missing])
+    if np.isnan(inverted).any():  # a finite prediction inverts to a number
         raise GraphfillError("imputation left unfilled cells")
+    if not np.all(np.isfinite(inverted)):
+        t, j = np.argwhere(missing)[np.argmin(np.isfinite(inverted))]
+        raise ValidationError(f"{cfg.data.values_csv}: data row {t + 1}, column "
+                              f"{j + 1}: the imputed value overflows in data units")
+    filled = raw.values.copy()
+    filled[missing] = inverted
     imputed_path = os.path.join(out, "imputed.csv")
     save_grid_csv(imputed_path, filled, header=dataset.columns)
-    n_filled = int((~dataset.mask).sum())
+    n_filled = int(missing.sum())
     print(f"impute: filled {n_filled} missing cells; wrote {imputed_path}")
     return 0
 

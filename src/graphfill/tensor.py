@@ -8,15 +8,15 @@ inputs, because no gradient array is ever written in place. With no
 active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: add, sub, div, vabs, concat, reshape,
-vsum/vmean, gather_rows (repeated rows sum their gradients), scatter_rows
-(a scatter-add), and two model-level ops: mlp, one record for a whole
-multi-layer perceptron over the concatenation of its input parts, and
-attention_blocks, one for a whole attention branch (the message MLP over
-[key, query] pairs, per-set softmax and weighted sum, contexts summed
-onto query rows) over dense blocks of sets that share their keys. That
-is enough for MLPs, softmax attention over variable-size message sets,
-and training.
+The op set is deliberately small: add, div, concat, reshape, gather_rows
+(repeated rows sum their gradients), scatter_rows (a scatter-add), and
+three model-level ops: mlp, one record for a whole multi-layer perceptron
+over the concatenation of its input parts; attention_blocks, one for a
+whole attention branch (the message MLP over [key, query] pairs, per-set
+softmax and weighted sum, contexts summed onto query rows) over dense
+blocks of sets that share their keys; and layer_l1, one for the
+layer-wise loss over every readout. That is enough for MLPs, softmax
+attention over variable-size message sets, and training.
 
 Every operation result must be finite; NaN or Inf raises immediately
 rather than propagating. Leaves are exempt so that deliberately poisoned
@@ -175,16 +175,6 @@ def add(a, b):
     return _make_output(data, (a, b), backfn)
 
 
-def sub(a, b):
-    a, b = as_value(a), as_value(b)
-    data = a.data - b.data
-
-    def backfn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make_output(data, (a, b), backfn)
-
-
 def div(a, b):
     a, b = as_value(a), as_value(b)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,12 +186,6 @@ def div(a, b):
         return ga, gb
 
     return _make_output(data, (a, b), backfn)
-
-
-def vabs(a):
-    a = as_value(a)
-    sign = np.sign(a.data)
-    return _make_output(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
 def concat(values, axis=-1):
@@ -226,22 +210,6 @@ def reshape(a, shape):
     data = a.data.reshape(shape)
     orig = a.data.shape
     return _make_output(data, (a,), lambda g: (g.reshape(orig),))
-
-
-def vsum(a, axis=None, keepdims=False):
-    a = as_value(a)
-    data = np.sum(a.data, axis=axis, keepdims=keepdims)
-
-    def backfn(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape),)
-
-    return _make_output(data, (a,), backfn)
-
-
-def vmean(a):
-    a = as_value(a)
-    return div(vsum(a), float(a.data.size))
 
 
 def _scatter_add(rows, idx, n_rows):
@@ -474,6 +442,40 @@ def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
     out = _make_output(data, (query_src, key_src, w_in, b_in, w_out, b_out, score),
                        backfn)
     return out, alpha[:, None]
+
+
+def layer_l1(readouts, truth, pos):
+    """The layer-wise loss as one tape op: the sum over `readouts`, in
+    order, of mean |readout.ravel()[pos] - truth.ravel()[pos]|. The rest
+    of truth is never read, so it may be NaN.
+
+    Forward and backward run the numpy statements of the unfused chain
+    (gather, subtract, abs, sum, divide by the count, add) and its reverse
+    replay, ending in a scatter-add onto each readout, so every bit is the
+    same (a zero difference gets +0.0). The record keeps each layer's
+    signs. Every term is >= 0, so one finite check on the result catches
+    a non-finite difference or an overflowing sum.
+    """
+    readouts = [as_value(r) for r in readouts]
+    pos = np.asarray(pos, dtype=np.intp)
+    if len(pos) == 0:
+        raise EmptySetError("the loss selects no positions")
+    truth_rows = np.asarray(truth, dtype=np.float64).reshape(-1, 1)[pos]
+    count = float(len(pos))
+    signs, total = [], None
+    with np.errstate(over="ignore"):  # checked on the result
+        for r in readouts:
+            diff = r.data.reshape(-1, 1)[pos] - truth_rows
+            signs.append(np.sign(diff))
+            term = np.sum(np.abs(diff)) / count
+            total = term if total is None else total + term
+
+    def backfn(g):
+        g = g / count
+        return tuple(_scatter_add(g * s, pos, r.data.size).reshape(r.data.shape)
+                     for r, s in zip(readouts, signs))
+
+    return _make_output(total, tuple(readouts), backfn)
 
 
 def backward(root: Value):

@@ -24,8 +24,8 @@ from . import tensor as T
 from .config import TrainConfig
 from .data import (DEFAULT_SPLIT, Dataset, SpatioTemporalWindow, make_windows,
                    split_slices, training_whiten)
-from .errors import (DivergenceError, EmptySetError, FieldError, MetricError,
-                     NonFiniteError, ValidationError)
+from .errors import (DivergenceError, FieldError, MetricError, NonFiniteError,
+                     ValidationError)
 from .graph import SensorGraph, khop_subgraph
 from .optim import AdamState, adam_step, clip_global_norm, lr_schedule
 from .spin import SpinParameters, spin_forward
@@ -50,17 +50,7 @@ def spin_loss(output, truth, loss_mask) -> T.Value:
     loss_mask selects. Gradients flow into every layer's readout,
     supervising the representations at each depth.
     """
-    pos = np.flatnonzero(loss_mask)
-    if len(pos) == 0:
-        raise EmptySetError("loss mask selects no positions")
-    truth_rows = T.Value(np.asarray(truth, dtype=np.float64).reshape(-1, 1)[pos])
-    acc = None
-    for readout in output.readouts:
-        flat = T.reshape(readout, (-1, 1))
-        diff = T.sub(T.gather_rows(flat, pos), truth_rows)
-        term = T.vmean(T.vabs(diff))
-        acc = term if acc is None else T.add(acc, term)
-    return acc
+    return T.layer_l1(output.readouts, truth, np.flatnonzero(loss_mask))
 
 
 def _val_input_and_loss_masks(windows, seed):
@@ -281,7 +271,9 @@ def _test_windows(dataset: Dataset, width, stride, split):
 
 
 def _score_windows(windows, predict, stats, n_nodes):
-    """Average per-window MAE of `predict(window)` on eval entries, data units."""
+    """Average per-window MAE of `predict(window)` on eval entries, in data
+    units: errors sum in normalized units, and each figure is scaled by
+    stats.std once, so data near the float64 limit does not overflow."""
     per_window = []
     node_err = np.zeros(n_nodes)
     node_cnt = np.zeros(n_nodes, dtype=np.intp)
@@ -290,19 +282,18 @@ def _score_windows(windows, predict, stats, n_nodes):
         sel = win.eval_mask
         if not sel.any():
             continue
-        pred = stats.invert(predict(win))
-        truth = stats.invert(win.values)
-        err = np.abs(np.where(sel, pred - truth, 0.0))
+        err = np.abs(np.where(sel, predict(win) - win.values, 0.0))
         per_window.append(float(err[sel].mean()))
         n_eval += int(sel.sum())
         node_err += err.sum(axis=0)
         node_cnt += sel.sum(axis=0)
     if not per_window:
         raise MetricError("no evaluation targets in the test windows")
-    per_node = [float(node_err[i] / node_cnt[i]) if node_cnt[i] else None
-                for i in range(n_nodes)]
-    return {"mae": float(np.mean(per_window)), "n_eval": int(n_eval),
-            "per_window": per_window, "per_node": per_node}
+    per_node = [float(node_err[i] / node_cnt[i]) * stats.std if node_cnt[i]
+                else None for i in range(n_nodes)]
+    return {"mae": float(np.mean(per_window)) * stats.std, "n_eval": int(n_eval),
+            "per_window": [e * stats.std for e in per_window],
+            "per_node": per_node}
 
 
 def evaluate(params, dataset: Dataset, graph: SensorGraph, width, stride,

@@ -32,7 +32,7 @@ from test_spin_h import random_case as random_hub_case
 def _projection_loss_value(out, projections):
     acc = None
     for readout, proj in zip(out.readouts, projections):
-        term = T.vsum(U.mul(readout, T.Value(proj)))
+        term = U.vsum(U.mul(readout, T.Value(proj)))
         acc = term if acc is None else T.add(acc, term)
     return acc
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,15 +250,18 @@ def strict_json(path):
         return json.load(f, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("scale", ["outlier", "tiny"])
+@pytest.mark.parametrize("scale", ["outlier", "tiny", "near_max"])
 def test_extreme_value_ranges_give_finite_artifacts(pipeline, tmp_path, scale):
     # One finite 1e160 training cell made the std overflow to inf; a series
-    # of order 1e-300 was refused as constant because its squares underflow.
+    # of order 1e-300 was refused as constant because its squares underflow;
+    # errors of a series near the float64 limit overflowed in data units.
     raw = load_grid(pipeline["synth_dir"] / "values.csv")
     if scale == "outlier":
         raw[5, 2] = 1e160
-    else:
+    elif scale == "tiny":
         raw *= 1e-300
+    else:
+        raw *= 1.5e308 / np.nanmax(np.abs(raw))
     values_csv = tmp_path / "values.csv"
     header = ",".join(f"s{i:02d}" for i in range(raw.shape[1]))
     np.savetxt(values_csv, raw, fmt="%.17g", delimiter=",", header=header,
@@ -307,3 +311,31 @@ def test_nonfinite_metric_is_named_and_not_written(pipeline, tmp_path,
     assert "metrics.json: 'spin.per_window[1]' is not a finite number" in \
         capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_impute_names_a_value_that_overflows_in_data_units(pipeline, tmp_path,
+                                                          monkeypatch, capsys):
+    # predictions stay normalized and only missing cells are converted
+    # back; one that overflows there is named, not left as an unfilled cell
+    import graphfill.cli as cli
+    raw = load_grid(pipeline["synth_dir"] / "values.csv") * 1e3  # std ~ 900
+    values_csv = tmp_path / "values.csv"
+    np.savetxt(values_csv, raw, fmt="%.17g", delimiter=",",
+               header=",".join(f"s{i:02d}" for i in range(raw.shape[1])),
+               comments="")
+    forward = cli.spin_forward
+
+    def huge(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        return SimpleNamespace(predictions=np.full_like(out.predictions, 1e306))
+
+    monkeypatch.setattr(cli, "spin_forward", huge)
+    cfg = json.loads(json.dumps(pipeline["run_cfg"]))
+    cfg["data"]["values_csv"] = str(values_csv)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    rc = main(["impute", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--checkpoint", str(pipeline["run_dir"] / "checkpoint.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {values_csv}: data row " in err and "overflows" in err
+    assert not (tmp_path / "out" / "imputed.csv").exists()

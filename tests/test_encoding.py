@@ -96,7 +96,7 @@ def test_spatial_embedding_gradient_flows():
     params = EncodingParams(n_nodes=3, rng=np.random.default_rng(4))
     with T.Tape():
         q = params.codes_flat(np.arange(4.0), 3)
-        T.backward(T.vsum(U.mul(q, q)))
+        T.backward(U.vsum(U.mul(q, q)))
     g = params.spatial.grad
     assert g is not None and g.shape == params.spatial.data.shape
     assert np.any(g != 0.0)

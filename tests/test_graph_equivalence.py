@@ -24,8 +24,7 @@ from graphfill.errors import ValidationError
 from graphfill.graph import SensorGraph, build_adjacency_gaussian, khop_subgraph
 from graphfill.train import baseline_knn
 
-SETTINGS = settings(derandomize=True, database=None, max_examples=150,
-                    deadline=None)
+SETTINGS = settings(max_examples=150)
 
 WEIGHT = st.floats(1e-3, 1e3) | st.sampled_from([0.5, 1, 2])
 BAD_WEIGHT = st.sampled_from([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf])
@@ -114,7 +113,7 @@ def test_distance_matrices_build_as_before(case):
         assert np.all(np.abs(after[3] - before[3]) <= np.spacing(before[3]))
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(distance_matrices(), st.data())
 def test_nan_distance_is_rejected_and_named(case, data):
     dist, gamma, delta = case
@@ -178,7 +177,7 @@ def test_generated_inputs_are_both_built_and_rejected(strategy, build):
     """The properties above would hold vacuously if every input failed."""
     results = []
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(strategy)
     def collect(case):
         results.append(len(outcome(build, case)) == 4)

@@ -25,8 +25,7 @@ from graphfill.graph import SensorGraph
 from graphfill.spin import SpinParameters, spin_forward
 from graphfill.spin_h import SpinHParameters, spinh_forward
 
-SETTINGS = settings(derandomize=True, database=None, max_examples=80,
-                    deadline=None)
+SETTINGS = settings(max_examples=80)
 DTYPES = [np.uint8, np.int64, np.float64, bool]
 # each bad value with the dtypes that can hold it
 BAD_VALUES = {0.7: [np.float64], 2: [np.uint8, np.int64, np.float64],
@@ -170,7 +169,7 @@ ENTRY_POINTS = entry_points()
 
 @pytest.mark.parametrize("value", list(BAD_VALUES), ids=["0.7", "2", "-1", "nan"])
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(mask=binary_masks(max_steps=WIDTH, max_nodes=N_NODES), data=st.data())
 def test_non_binary_mask_is_refused_naming_its_first_bad_cell(name, value,
                                                               mask, data):

@@ -25,8 +25,7 @@ from graphfill.graph import load_edges_csv
 
 N_NODES = 8  # edge lists are read for a graph of this many nodes
 
-SETTINGS = settings(derandomize=True, database=None, max_examples=150,
-                    deadline=None)
+SETTINGS = settings(max_examples=150)
 
 
 def cells(good, bad):
@@ -165,7 +164,7 @@ def test_generated_files_are_both_loaded_and_rejected(strategy, loader):
     """The properties above would hold vacuously if every file failed."""
     results = []
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(strategy)
     def collect(texts):
         results.append(outcome(loader, *(texts if isinstance(texts, tuple)

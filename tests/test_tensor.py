@@ -50,7 +50,7 @@ def test_arithmetic_chain_grads():
     b = rng.normal(size=(4, 3)) + 3.0
 
     def fv(a, b):
-        return T.vsum(T.add(U.mul(a, b), T.div(T.sub(a, b), b)))
+        return U.vsum(T.add(U.mul(a, b), T.div(U.sub(a, b), b)))
 
     def ff(a, b):
         return float(np.sum(a * b + (a - b) / b))
@@ -63,7 +63,7 @@ def test_unary_op_grads():
     a = rng.normal(size=(5, 2)) * 2.0 + 0.3  # keep away from kinks at 0
 
     def fv(a):
-        return T.vsum(T.add(T.vabs(a), T.add(U.relu(a),
+        return U.vsum(T.add(U.vabs(a), T.add(U.relu(a),
                                              U.vexp(U.clamp(a, -1.0, 1.0)))))
 
     def ff(a):
@@ -79,7 +79,7 @@ def test_matmul_grads():
     w = rng.normal(size=(4, 3))
 
     def fv(a, w):
-        return T.vsum(U.mul(U.matmul(a, w), U.matmul(a, w)))
+        return U.vsum(U.mul(U.matmul(a, w), U.matmul(a, w)))
 
     def ff(a, w):
         return float(np.sum((a @ w) ** 2))
@@ -93,7 +93,7 @@ def test_broadcast_bias_grads():
     b = rng.normal(size=3)
 
     def fv(a, b):
-        return T.vsum(U.relu(T.add(a, b)))
+        return U.vsum(U.relu(T.add(a, b)))
 
     def ff(a, b):
         return float(np.sum(np.maximum(a + b, 0.0)))
@@ -109,7 +109,7 @@ def test_concat_slice_reshape_grads():
     def fv(a, b):
         cat = T.concat([a, b], axis=-1)
         sl = U.slice_rows(cat, 1, 3)
-        return T.vsum(U.mul(T.reshape(sl, (10,)), T.reshape(sl, (10,))))
+        return U.vsum(U.mul(T.reshape(sl, (10,)), T.reshape(sl, (10,))))
 
     def ff(a, b):
         cat = np.concatenate([a, b], axis=-1)
@@ -123,8 +123,8 @@ def test_sum_mean_axes_grads():
     a = rng.normal(size=(3, 4))
 
     def fv(a):
-        col = T.vsum(a, axis=0, keepdims=True)         # (1, 4)
-        return T.add(T.vmean(U.mul(col, col)), T.vsum(a))
+        col = U.vsum(a, axis=0, keepdims=True)         # (1, 4)
+        return T.add(U.vmean(U.mul(col, col)), U.vsum(a))
 
     def ff(a):
         col = a.sum(axis=0, keepdims=True)
@@ -143,7 +143,7 @@ def test_gather_scatter_grads():
         g = T.gather_rows(a, idx)
         s = T.scatter_rows(g, np.array([0, 0, 1, 2, 2]), 3)
         u = T.gather_rows(a, uniq)
-        return T.add(T.vsum(U.mul(s, s)), T.vsum(u))
+        return T.add(U.vsum(U.mul(s, s)), U.vsum(u))
 
     def ff(a):
         g = a[idx]
@@ -160,7 +160,7 @@ def test_gather_scatter_grads():
         leaf = T.Value(a, requires_grad=True)
         with T.Tape():
             picked = T.gather_rows(leaf, rows)
-            T.backward(T.vsum(U.mul(picked, upstream)))
+            T.backward(U.vsum(U.mul(picked, upstream)))
         grad = leaf.grad
         want = np.zeros_like(a)
         if repeats:
@@ -178,7 +178,7 @@ def test_segment_sum_and_repeat_grads():
     def fv(a):
         seg = U.segment_sum(a, starts)                   # (3, 2)
         rep = U.repeat_rows(seg, np.array([2, 3, 1]))    # back to (6, 2)
-        return T.vsum(U.mul(rep, a))
+        return U.vsum(U.mul(rep, a))
 
     def ff(a):
         seg = np.stack([a[0:2].sum(0), a[2:5].sum(0), a[5:6].sum(0)])
@@ -196,7 +196,7 @@ def test_segment_weighted_sum_grads():
 
     def fv(alpha, rows):
         out = U.segment_weighted_sum(alpha, rows, starts)
-        return T.vsum(U.mul(out, out))
+        return U.vsum(U.mul(out, out))
 
     def ff(alpha, rows):
         prod = alpha * rows
@@ -218,13 +218,13 @@ def test_pair_messages_matches_unfused_composition():
 
     def fv(fk, fq, w, b_in, b_out):
         out = U.pair_messages(fk, fq, key_idx, query_idx, w, b_in, b_out)
-        return T.vsum(U.mul(out, out))
+        return U.vsum(U.mul(out, out))
 
     def fv_unfused(fk, fq, w, b_in, b_out):
         pre = T.add(T.add(T.gather_rows(fk, key_idx),
                           T.gather_rows(fq, query_idx)), b_in)
         out = T.add(U.matmul(U.relu(pre), w), b_out)
-        return T.vsum(U.mul(out, out))
+        return U.vsum(U.mul(out, out))
 
     def ff(fk, fq, w, b_in, b_out):
         pre = fk[key_idx] + fq[query_idx] + b_in
@@ -254,7 +254,7 @@ def test_softmax_rows_sum_to_one_and_grads():
 
     def fv(a):
         y = U.softmax_stable(a, axis=-1)
-        return T.vsum(U.mul(y, y))
+        return U.vsum(U.mul(y, y))
 
     def ff(a):
         e = np.exp(a - a.max(axis=-1, keepdims=True))
@@ -275,7 +275,7 @@ def test_segment_softmax_partition_and_grads():
 
     def fv(logits):
         alpha = U.segment_softmax(logits, starts)
-        return T.vsum(U.mul(alpha, alpha))
+        return U.vsum(U.mul(alpha, alpha))
 
     def ff(logits):
         out = 0.0
@@ -301,7 +301,7 @@ def test_segment_softmax_survives_extreme_logits():
 def test_value_reused_twice_accumulates_gradient():
     x = T.Value(np.array([3.0]), requires_grad=True)
     with T.Tape():
-        out = T.vsum(U.mul(x, x))
+        out = U.vsum(U.mul(x, x))
         T.backward(out)
     assert np.allclose(x.grad, 2.0 * x.data)
 
@@ -319,7 +319,7 @@ def test_leaves_sharing_a_backfn_array_sum_into_their_own():
         u = T.concat([a, b], axis=0)
         c = T.add(a, b)
         rows = T.reshape(T.concat([c, u], axis=0), (3, 6))
-        T.backward(T.vsum(U.matmul(rows, w)))
+        T.backward(U.vsum(U.matmul(rows, w)))
     g = np.tile(w.T, (3, 1)).reshape(6, 3)  # d(loss)/d[c; a; b]
     assert np.array_equal(a.grad, g[0:2] + g[2:4])
     assert np.array_equal(b.grad, g[0:2] + g[4:6])
@@ -328,9 +328,9 @@ def test_leaves_sharing_a_backfn_array_sum_into_their_own():
 def test_backward_requires_tape_and_consumes_it():
     x = T.Value(np.array([1.0]), requires_grad=True)
     with pytest.raises(TapeError):
-        T.backward(T.vsum(x))  # no tape recorded this value
+        T.backward(U.vsum(x))  # no tape recorded this value
     with T.Tape():
-        out = T.vsum(U.mul(x, x))
+        out = U.vsum(U.mul(x, x))
         assert T.backward(out) is None  # gradients land on .grad only
         with pytest.raises(TapeError):
             T.backward(out)  # tape already consumed
@@ -412,7 +412,7 @@ def test_gradcheck_randomized_compositions():
             logits = U.matmul(g, w2)
             alpha = U.segment_softmax(logits, starts)
             pooled = U.segment_weighted_sum(alpha, g, starts)
-            return T.vmean(T.vabs(pooled))
+            return U.vmean(U.vabs(pooled))
 
         def ff(a, w1, w2):
             h = np.maximum(a @ w1, 0.0)

@@ -109,7 +109,7 @@ def run(trainer, case):
     return weights, repr(history), repr(best_val)
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(cases())
 @example(SKIPPING)
 @example(STOPPING)
@@ -152,7 +152,7 @@ def step(stepper, case):
         state.adam.t, state.step, loss.hex())
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(cases(max_batch=7))
 def test_train_step_matches_single_tape(case):
     assert step(train_step, case) == step(reference_train_step, case)

@@ -16,8 +16,15 @@ two older paths, both over flat message sets (key_idx, starts, query):
 * `attention_sets`, the fused flat op that came next, one row per
   (key, query) pair.
 
-`flat_sets` turns blocks into those flat sets. `mul`, `relu` and
-`matmul` are ops the package itself no longer needs.
+`flat_sets` turns blocks into those flat sets.
+
+`graphfill.tensor.layer_l1` records the layer-wise loss as one tape op.
+`spin_loss_chain` is the body `graphfill.train.spin_loss` had before it,
+a chain of reshape, gather_rows, `sub`, `vabs`, `vmean` (`vsum`, then
+`div`) and `add` per layer.
+
+`mul`, `relu`, `matmul`, `sub`, `vabs`, `vsum` and `vmean` are ops the
+package itself no longer needs.
 """
 
 from __future__ import annotations
@@ -37,6 +44,38 @@ def mul(a, b):
                 T._unbroadcast(g * a.data, b.data.shape))
 
     return T._make_output(data, (a, b), backfn)
+
+
+def sub(a, b):
+    a, b = T.as_value(a), T.as_value(b)
+    data = a.data - b.data
+
+    def backfn(g):
+        return T._unbroadcast(g, a.data.shape), T._unbroadcast(-g, b.data.shape)
+
+    return T._make_output(data, (a, b), backfn)
+
+
+def vabs(a):
+    a = T.as_value(a)
+    sign = np.sign(a.data)
+    return T._make_output(np.abs(a.data), (a,), lambda g: (g * sign,))
+
+
+def vsum(a, axis=None, keepdims=False):
+    a = T.as_value(a)
+    data = np.sum(a.data, axis=axis, keepdims=keepdims)
+
+    def backfn(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.data.shape),)
+
+    return T._make_output(data, (a,), backfn)
+
+
+def vmean(a):
+    a = T.as_value(a)
+    return T.div(vsum(a), float(a.data.size))
 
 
 def relu(a):
@@ -73,6 +112,21 @@ def mlp_chain(parts, weights, biases):
         if k < len(weights) - 1:
             x = relu(x)
     return x
+
+
+def spin_loss_chain(output, truth, loss_mask):
+    """`graphfill.train.spin_loss` as it was before `T.layer_l1`."""
+    pos = np.flatnonzero(loss_mask)
+    if len(pos) == 0:
+        raise EmptySetError("loss mask selects no positions")
+    truth_rows = T.Value(np.asarray(truth, dtype=np.float64).reshape(-1, 1)[pos])
+    acc = None
+    for readout in output.readouts:
+        flat = T.reshape(readout, (-1, 1))
+        diff = sub(T.gather_rows(flat, pos), truth_rows)
+        term = vmean(vabs(diff))
+        acc = term if acc is None else T.add(acc, term)
+    return acc
 
 
 def unfused_mlp_call(mlp, *parts):
@@ -237,7 +291,7 @@ def segment_softmax(logits, starts):
     total = logits.data.shape[0]
     counts = _segment_starts_to_counts(starts, total)
     m = segment_max_raw(logits.data, starts)
-    shifted = T.sub(logits, np.repeat(m, counts, axis=0))
+    shifted = sub(logits, np.repeat(m, counts, axis=0))
     e = vexp(clamp(shifted, -T.LOGIT_SPAN, T.LOGIT_SPAN))
     denom = segment_sum(e, starts)
     return T.div(e, repeat_rows(denom, counts))
