@@ -186,16 +186,27 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"epoch {row['epoch']:3d}  loss {row['train_loss']:.5f}  "
               f"val_mae {row['val_mae']:.5f}  lr {row['lr']:.2e}", flush=True)
 
-    params, history, best_val = train(dataset, graph, cfg.train, params,
-                                      progress=report)
+    try:
+        params, history, best_val = train(dataset, graph, cfg.train, params,
+                                          progress=report)
+    except FieldError:
+        raise
+    except ValidationError as exc:  # a split the series leaves empty
+        raise ValidationError(f"{cfg.data.values_csv}: {exc}") from None
+    if all(math.isnan(row["train_loss"]) for row in history):  # no step
+        raise ValidationError(
+            f"{cfg.data.values_csv}: no optimizer step in {len(history)} epochs: "
+            "no window drawn from the training split ('data.split') had an "
+            "observed entry to hide"
+            + (" on a seed node" if cfg.train.subsample else ""))
     ckpt_path = _default_checkpoint(cfg)
     save_params(ckpt_path, params.named_parameters())
     hist_path = os.path.join(out, "history.csv")
     with atomic_write(hist_path) as f:
         f.write("epoch,train_loss,val_mae,lr\n")
-        for row in history:
-            f.write(f"{row['epoch']},{row['train_loss']:.17g},"
-                    f"{row['val_mae']:.17g},{row['lr']:.17g}\n")
+        for row in history:  # an epoch without a step has no train_loss
+            loss = "" if math.isnan(row["train_loss"]) else f"{row['train_loss']:.17g}"
+            f.write(f"{row['epoch']},{loss},{row['val_mae']:.17g},{row['lr']:.17g}\n")
     print(f"train: best val_mae {best_val:.5f} after {len(history)} epochs "
           f"({time.time() - t0:.0f}s); wrote {ckpt_path}, {hist_path}")
     return 0

@@ -315,8 +315,8 @@ def spin_forward(window, graph: SensorGraph, params: SpinParameters,
                  input_mask=None) -> ImputationOutput:
     """Run the full stack on one window.
 
-    input_mask defaults to the window's mask; training passes a whitened
-    mask instead.
+    input_mask defaults to the window's mask, which in training is
+    already whitened.
     """
     input_mask, x_leaf, h = init_states(params, window, graph, input_mask)
     phases = [build_attention_plan(input_mask, graph, masked=True)]

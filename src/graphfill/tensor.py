@@ -8,7 +8,7 @@ inputs, because no gradient array is ever written in place. With no
 active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: add, div, concat, reshape, gather_rows
+The op set is deliberately small: div, concat, reshape, gather_rows
 (repeated rows sum their gradients), scatter_rows (a scatter-add), and
 three model-level ops: mlp, one record for a whole multi-layer perceptron
 over the concatenation of its input parts; attention_blocks, one for a
@@ -163,16 +163,6 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def add(a, b):
-    a, b = as_value(a), as_value(b)
-    data = a.data + b.data
-
-    def backfn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make_output(data, (a, b), backfn)
 
 
 def div(a, b):

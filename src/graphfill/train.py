@@ -5,9 +5,10 @@ minibatches of batch_size window offsets uniformly with replacement from
 the training split, hides a random fraction of each window's valid
 entries (self-supervision), and minimizes the layer-wise loss — the sum
 over layers of the mean absolute error of that layer's readout on the
-hidden entries. Validation uses the same hiding mechanism with a fixed
-seed so that every epoch scores the exact same validation task; early
-stopping tracks strict improvements of validation MAE.
+hidden entries. The sample is the whitened window: the forward reads its
+`mask`, the loss its `eval_mask`. Validation whitens with a fixed seed so
+that every epoch scores the exact same task, through `evaluate`'s error
+pass; early stopping tracks strict improvements of validation MAE.
 
 Everything here works on normalized values; `evaluate` converts back to
 data units before reporting.
@@ -15,8 +16,8 @@ data units before reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -53,23 +54,20 @@ def spin_loss(output, truth, loss_mask) -> T.Value:
     return T.layer_l1(output.readouts, truth, np.flatnonzero(loss_mask))
 
 
-def _val_input_and_loss_masks(windows, seed):
-    """Per-window whiten masks that are identical every time (fixed seed)."""
-    masks = []
-    for k, win in enumerate(windows):
-        rng = np.random.default_rng(100003 * (seed + 1) + k)
-        try:
-            masks.append(training_whiten(win, rng=rng))
-        except ValidationError:
-            masks.append(None)  # window has no valid entries; skip in scoring
-    return masks
+def _whitened(win, rng):
+    """`win` as a training sample: `training_whiten` moves a share of its
+    observed entries from `mask`, which the forward reads, to `eval_mask`,
+    which the loss or score reads. None when nothing is observed."""
+    try:
+        input_mask, hidden = training_whiten(win, rng=rng)
+    except ValidationError:
+        return None
+    return replace(win, mask=input_mask, eval_mask=hidden)
 
 
 def _column_subset_window(win, cols):
-    return SpatioTemporalWindow(values=win.values[:, cols],
-                                mask=win.mask[:, cols],
-                                eval_mask=win.eval_mask[:, cols],
-                                step_offsets=win.step_offsets, nodes=cols)
+    return replace(win, values=win.values[:, cols], mask=win.mask[:, cols],
+                   eval_mask=win.eval_mask[:, cols], nodes=cols)
 
 
 @dataclass
@@ -88,8 +86,8 @@ class TrainState:
 
 def draw_batch(rng, train_view: Dataset, graph: SensorGraph,
                config: TrainConfig):
-    """One step's (batch_graph, [(window, input_mask, loss_mask)]): windows
-    with nothing observed, or no loss target on a seed node, are left out."""
+    """One step's (batch_graph, [whitened window]): windows with nothing
+    observed, or no hidden entry on a seed node, are left out."""
     offsets = rng.integers(0, train_view.n_steps - config.width + 1,
                            size=config.batch_size)
     windows = [train_view.window(off, config.width) for off in offsets]
@@ -102,18 +100,17 @@ def draw_batch(rng, train_view: Dataset, graph: SensorGraph,
         windows = [_column_subset_window(win, cols) for win in windows]
     batch = []
     for win in windows:
-        try:
-            input_mask, loss_mask = training_whiten(win, rng=rng)
-        except ValidationError:
-            continue  # nothing observed in this window; skip it
-        if np.any(loss_mask & win.eval_mask):
+        sample = _whitened(win, rng)
+        if sample is None:
+            continue
+        if np.any(sample.eval_mask & win.eval_mask):
             raise ValidationError(
                 "whiten produced loss targets on evaluation entries")
         if seed_mask is not None:
-            loss_mask = loss_mask & seed_mask
-            if not loss_mask.any():
+            sample.eval_mask = sample.eval_mask & seed_mask
+            if not sample.eval_mask.any():
                 continue
-        batch.append((win, input_mask, loss_mask))
+        batch.append(sample)
     return batch_graph, batch
 
 
@@ -132,14 +129,16 @@ def train_step(state: TrainState, graph: SensorGraph, batch, lr) -> float:
     n = float(len(batch))
     terms = []
     try:
-        for win, input_mask, loss_mask in reversed(batch):
+        for win in reversed(batch):
             with T.Tape():
-                term = spin_loss(fwd(win, graph, state.params,
-                                     input_mask=input_mask),
-                                 win.values, loss_mask)
+                term = spin_loss(fwd(win, graph, state.params), win.values,
+                                 win.eval_mask)
                 T.backward(T.div(term, n))
             terms.append(term.data)
-        loss = T.div(reduce(T.add, reversed(terms)), n)
+        with np.errstate(over="ignore"):  # terms >= 0: an overflow stays inf
+            loss = sum(reversed(terms)) / n
+        if not np.isfinite(loss):
+            raise NonFiniteError("non-finite batch loss")
     except NonFiniteError as exc:
         for p in state.adam.params:
             p.grad = None
@@ -148,7 +147,7 @@ def train_step(state: TrainState, graph: SensorGraph, batch, lr) -> float:
     clip_global_norm(state.adam.params, GRAD_CLIP_NORM)
     adam_step(state.adam, lr)
     state.step += 1
-    return float(loss.data)
+    return float(loss)
 
 
 def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
@@ -163,10 +162,14 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     train_sl, val_sl, _ = split_slices(dataset.n_steps, config.split)
     train_view = _split_rows(dataset, train_sl, "training", config.width)
     val_view = _split_rows(dataset, val_sl, "validation", config.width)
-    val_windows = make_windows(val_view, config.width, config.stride)
-    val_masks = _val_input_and_loss_masks(val_windows, config.seed)
-    if all(m is None for m in val_masks):
-        raise ValidationError("validation split has no usable windows")
+    seed = 100003 * (config.seed + 1)  # each validation window's own seed
+    val_windows = [_whitened(win, np.random.default_rng(seed + k)) for k, win
+                   in enumerate(make_windows(val_view, config.width, config.stride))]
+    val_windows = [win for win in val_windows if win is not None]
+    if not val_windows:
+        raise ValidationError(
+            f"the validation split ('data.split', data rows "
+            f"{val_sl.start + 1}-{val_sl.stop}) has no observed entry to hide")
 
     param_list = params.parameters()
     state = TrainState(params=params, rng=np.random.default_rng(config.seed),
@@ -183,7 +186,7 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
                                  restart_period_epochs=config.restart_period)
                 losses.append(train_step(state, batch_graph, batch, lr))
 
-        val_mae = _validation_mae(val_windows, val_masks, graph, params)
+        val_mae = _validation_mae(val_windows, graph, params)
         train_loss = float(np.mean(losses)) if losses else np.nan
         state.history.append({"epoch": epoch, "train_loss": train_loss,
                               "val_mae": val_mae, "lr": lr})
@@ -202,21 +205,33 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
     return params, state.history, state.best_val
 
 
-def _validation_mae(val_windows, val_masks, graph, params):
+def _validation_mae(val_windows, graph, params):
     """MAE over the fixed hidden validation entries, in normalized units."""
-    fwd = forward_fn(params)
-    errors, count = 0.0, 0
+    sums, counts, _, _ = _error_pass(val_windows, partial(_predict, params, graph))
+    return sum(sums) / sum(counts)
+
+
+def _predict(params, graph, win):
+    """The model's no-grad predictions for `win`."""
     with T.no_grad():
-        for win, masks in zip(val_windows, val_masks):
-            if masks is None:
-                continue
-            input_mask, sel = masks
-            out = fwd(win, graph, params, input_mask=input_mask)
-            errors += float(np.abs(out.predictions[sel] - win.values[sel]).sum())
-            count += int(sel.sum())
-    if count == 0:
-        raise MetricError("no validation targets available")
-    return errors / count
+        return forward_fn(params)(win, graph, params).predictions
+
+
+def _error_pass(windows, predict):
+    """|predict(window) - truth| on eval entries: per window its sum and
+    count, per node both over all windows; (sums, counts, node_sums,
+    node_counts). A window with no eval entry is left out."""
+    sums, counts, node_err, node_cnt = [], [], 0.0, 0
+    for win in windows:
+        sel = win.eval_mask
+        if not sel.any():
+            continue
+        err = np.abs(np.where(sel, predict(win) - win.values, 0.0))
+        sums.append(float(err[sel].sum()))
+        counts.append(int(sel.sum()))
+        node_err = node_err + err.sum(axis=0)
+        node_cnt = node_cnt + sel.sum(axis=0)
+    return sums, counts, node_err, node_cnt
 
 
 def fit_node_means(dataset: Dataset, train_slice=None):
@@ -270,28 +285,17 @@ def _test_windows(dataset: Dataset, width, stride, split):
                         width, stride)
 
 
-def _score_windows(windows, predict, stats, n_nodes):
+def _score_windows(windows, predict, stats):
     """Average per-window MAE of `predict(window)` on eval entries, in data
     units: errors sum in normalized units, and each figure is scaled by
     stats.std once, so data near the float64 limit does not overflow."""
-    per_window = []
-    node_err = np.zeros(n_nodes)
-    node_cnt = np.zeros(n_nodes, dtype=np.intp)
-    n_eval = 0
-    for win in windows:
-        sel = win.eval_mask
-        if not sel.any():
-            continue
-        err = np.abs(np.where(sel, predict(win) - win.values, 0.0))
-        per_window.append(float(err[sel].mean()))
-        n_eval += int(sel.sum())
-        node_err += err.sum(axis=0)
-        node_cnt += sel.sum(axis=0)
-    if not per_window:
+    sums, counts, node_err, node_cnt = _error_pass(windows, predict)
+    if not sums:
         raise MetricError("no evaluation targets in the test windows")
-    per_node = [float(node_err[i] / node_cnt[i]) * stats.std if node_cnt[i]
-                else None for i in range(n_nodes)]
-    return {"mae": float(np.mean(per_window)) * stats.std, "n_eval": int(n_eval),
+    per_window = [s / c for s, c in zip(sums, counts)]
+    per_node = [float(e / c) * stats.std if c else None
+                for e, c in zip(node_err, node_cnt)]
+    return {"mae": float(np.mean(per_window)) * stats.std, "n_eval": sum(counts),
             "per_window": [e * stats.std for e in per_window],
             "per_node": per_node}
 
@@ -300,13 +304,7 @@ def evaluate(params, dataset: Dataset, graph: SensorGraph, width, stride,
              split=DEFAULT_SPLIT):
     """Model MAE on the test split's hidden entries, in data units."""
     windows = _test_windows(dataset, width, stride, split)
-    fwd = forward_fn(params)
-
-    def predict(win):
-        with T.no_grad():
-            return fwd(win, graph, params).predictions
-
-    return _score_windows(windows, predict, dataset.stats, dataset.n_nodes)
+    return _score_windows(windows, partial(_predict, params, graph), dataset.stats)
 
 
 def evaluate_baseline(kind, dataset: Dataset, graph: SensorGraph, width, stride,
@@ -321,4 +319,4 @@ def evaluate_baseline(kind, dataset: Dataset, graph: SensorGraph, width, stride,
         predict = lambda win: baseline_knn(win, graph, node_means)
     else:
         raise ValidationError(f"unknown baseline {kind!r}")
-    return _score_windows(windows, predict, dataset.stats, dataset.n_nodes)
+    return _score_windows(windows, predict, dataset.stats)

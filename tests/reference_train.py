@@ -8,21 +8,85 @@ that recorded the whole batch on one tape. Both are kept so that tests can
 check the new code against them bit for bit, the way `unfused_ops.py`
 keeps the old attention. They call the package's own loss, forward,
 whitening, clipping and Adam.
+
+Training and validation now carry a whitened window, whose `mask` the
+forward reads and whose `eval_mask` the loss or score reads, and
+validation and `evaluate` score through one error pass.
+`_val_input_and_loss_masks`, `_validation_mae` and `_score_windows` are
+the code they replaced: validation's loose (input mask, loss mask) pairs,
+its own no-grad loop, and `evaluate`'s scoring loop. The single-tape step
+takes (window, input_mask, loss_mask) triples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import unfused_ops as U
 from graphfill import tensor as T
 from graphfill.config import TrainConfig
 from graphfill.data import Dataset, make_windows, split_slices, training_whiten
-from graphfill.errors import DivergenceError, NonFiniteError, ValidationError
+from graphfill.errors import (DivergenceError, MetricError, NonFiniteError,
+                              ValidationError)
 from graphfill.graph import SensorGraph, khop_subgraph
 from graphfill.optim import AdamState, adam_step, clip_global_norm, lr_schedule
 from graphfill.train import (GRAD_CLIP_NORM, TrainState,
-                             _column_subset_window, _val_input_and_loss_masks,
-                             _validation_mae, forward_fn, spin_loss)
+                             _column_subset_window, forward_fn, spin_loss)
+
+
+def _val_input_and_loss_masks(windows, seed):
+    """Per-window whiten masks that are identical every time (fixed seed)."""
+    masks = []
+    for k, win in enumerate(windows):
+        rng = np.random.default_rng(100003 * (seed + 1) + k)
+        try:
+            masks.append(training_whiten(win, rng=rng))
+        except ValidationError:
+            masks.append(None)  # window has no valid entries; skip in scoring
+    return masks
+
+
+def _validation_mae(val_windows, val_masks, graph, params):
+    """MAE over the fixed hidden validation entries, in normalized units."""
+    fwd = forward_fn(params)
+    errors, count = 0.0, 0
+    with T.no_grad():
+        for win, masks in zip(val_windows, val_masks):
+            if masks is None:
+                continue
+            input_mask, sel = masks
+            out = fwd(win, graph, params, input_mask=input_mask)
+            errors += float(np.abs(out.predictions[sel] - win.values[sel]).sum())
+            count += int(sel.sum())
+    if count == 0:
+        raise MetricError("no validation targets available")
+    return errors / count
+
+
+def _score_windows(windows, predict, stats, n_nodes):
+    """Average per-window MAE of `predict(window)` on eval entries, in data
+    units: errors sum in normalized units, and each figure is scaled by
+    stats.std once, so data near the float64 limit does not overflow."""
+    per_window = []
+    node_err = np.zeros(n_nodes)
+    node_cnt = np.zeros(n_nodes, dtype=np.intp)
+    n_eval = 0
+    for win in windows:
+        sel = win.eval_mask
+        if not sel.any():
+            continue
+        err = np.abs(np.where(sel, predict(win) - win.values, 0.0))
+        per_window.append(float(err[sel].mean()))
+        n_eval += int(sel.sum())
+        node_err += err.sum(axis=0)
+        node_cnt += sel.sum(axis=0)
+    if not per_window:
+        raise MetricError("no evaluation targets in the test windows")
+    per_node = [float(node_err[i] / node_cnt[i]) * stats.std if node_cnt[i]
+                else None for i in range(n_nodes)]
+    return {"mae": float(np.mean(per_window)) * stats.std, "n_eval": int(n_eval),
+            "per_window": [e * stats.std for e in per_window],
+            "per_node": per_node}
 
 
 def reference_train_step(state: TrainState, graph: SensorGraph, batch,
@@ -36,7 +100,7 @@ def reference_train_step(state: TrainState, graph: SensorGraph, batch,
             for win, input_mask, loss_mask in batch:
                 out = fwd(win, graph, state.params, input_mask=input_mask)
                 term = spin_loss(out, win.values, loss_mask)
-                acc = term if acc is None else T.add(acc, term)
+                acc = term if acc is None else U.add(acc, term)
             loss = T.div(acc, float(len(batch)))
             T.backward(loss)
     except NonFiniteError as exc:
@@ -118,7 +182,7 @@ def reference_train(dataset: Dataset, graph: SensorGraph, config: TrainConfig,
                     for win, input_mask, loss_mask in pairs:
                         out = fwd(win, batch_graph, params, input_mask=input_mask)
                         term = spin_loss(out, win.values, loss_mask)
-                        acc = term if acc is None else T.add(acc, term)
+                        acc = term if acc is None else U.add(acc, term)
                     loss = T.div(acc, float(len(pairs)))
                     loss_value = float(loss.data)
                     T.backward(loss)

@@ -33,7 +33,7 @@ def _projection_loss_value(out, projections):
     acc = None
     for readout, proj in zip(out.readouts, projections):
         term = U.vsum(U.mul(readout, T.Value(proj)))
-        acc = term if acc is None else T.add(acc, term)
+        acc = term if acc is None else U.add(acc, term)
     return acc
 
 

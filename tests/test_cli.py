@@ -339,3 +339,59 @@ def test_impute_names_a_value_that_overflows_in_data_units(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert f"error: {values_csv}: data row " in err and "overflows" in err
     assert not (tmp_path / "out" / "imputed.csv").exists()
+
+
+def blanked_run(pipeline, tmp_path, rows, keep=(), **train):
+    """(config path, values.csv) of the pipeline's run on its series with
+    data rows `rows` (counting from 1) blank, except the cells `keep`."""
+    raw = load_grid(pipeline["synth_dir"] / "values.csv")
+    kept = [raw[t - 1, j] for t, j in keep]
+    raw[rows.start - 1:rows.stop - 1] = np.nan
+    for (t, j), value in zip(keep, kept):
+        raw[t - 1, j] = value
+    values_csv = tmp_path / "values.csv"
+    np.savetxt(values_csv, raw, fmt="%.17g", delimiter=",",
+               header=",".join(f"s{i:02d}" for i in range(raw.shape[1])),
+               comments="")
+    cfg = json.loads(json.dumps(pipeline["run_cfg"]))
+    cfg["data"]["values_csv"] = str(values_csv)
+    cfg["train"].update(train)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    return write_json(tmp_path / "cfg.json", cfg), values_csv
+
+
+def test_training_without_a_step_is_refused(pipeline, tmp_path, capsys):
+    # Every window drawn from the training split lies in the blank rows, so
+    # the run took no optimizer step; it used to exit 0 with `nan` losses
+    # and write the initial parameters as its checkpoint.
+    path, values_csv = blanked_run(pipeline, tmp_path, range(1, 101),
+                                   keep=[(20, 1), (70, 4)], epochs_max=2,
+                                   batches_per_epoch=1, batch_size=1)
+    assert main(["train", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {values_csv}: no optimizer step in 2 epochs" in err
+    assert "'data.split'" in err
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
+    assert not (tmp_path / "out" / "history.csv").exists()
+
+
+def test_an_epoch_without_a_step_leaves_train_loss_empty(pipeline, tmp_path):
+    # With the same blank rows, train seed 9 draws a blank window in epoch 1
+    # and an observed one in epoch 2: epoch 1's loss is an empty cell.
+    path, _ = blanked_run(pipeline, tmp_path, range(1, 101), epochs_max=2,
+                          batches_per_epoch=1, batch_size=1, seed=9)
+    assert main(["train", "--config", path]) == 0
+    with open(tmp_path / "out" / "history.csv") as f:
+        rows = [line.rstrip("\n").split(",") for line in f][1:]
+    assert [row[1] == "" for row in rows] == [True, False]
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row if cell)
+
+
+def test_empty_validation_split_names_the_file_and_field(pipeline, tmp_path,
+                                                         capsys):
+    # 160 steps at the 0.7/0.1/0.2 split: data rows 113-128 validate.
+    path, values_csv = blanked_run(pipeline, tmp_path, range(113, 129))
+    assert main(["train", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {values_csv}: ")
+    assert "'data.split'" in err and "data rows 113-128" in err

@@ -184,7 +184,7 @@ def compare_stacks(monkeypatch, forward, window, graph, params):
             loss = None
             for readout, proj in zip(out.readouts, projections):
                 term = U.vsum(U.mul(readout, proj))
-                loss = term if loss is None else T.add(loss, term)
+                loss = term if loss is None else U.add(loss, term)
             T.backward(loss)
         results.append((out, [p.grad for p in params.parameters()]))
     got, got_grads = results[0]

@@ -82,7 +82,7 @@ def test_clip_scales_a_gradient_shared_by_two_parameters_once():
     # broadcast view, so a and b end up holding the same array.
     a, b = leaf([1.0, 2.0, 3.0]), leaf([-1.0, 0.5, 4.0])
     with T.Tape():
-        T.backward(U.vsum(T.add(a, b)))
+        T.backward(U.vsum(U.add(a, b)))
     assert a.grad is b.grad
     norm = clip_global_norm([a, b], 1.0)
     assert norm == math.sqrt(6.0)

@@ -274,7 +274,7 @@ def test_gradients_reach_every_parameter():
                                         n_masked=1)
     with T.Tape():
         out = spin_forward(window, graph, params)
-        loss = T.add(U.vmean(U.vabs(out.readouts[0])),
+        loss = U.add(U.vmean(U.vabs(out.readouts[0])),
                      U.vmean(U.vabs(out.readouts[-1])))
         T.backward(loss)
     for name, p in params.named_parameters():

@@ -50,7 +50,7 @@ def test_arithmetic_chain_grads():
     b = rng.normal(size=(4, 3)) + 3.0
 
     def fv(a, b):
-        return U.vsum(T.add(U.mul(a, b), T.div(U.sub(a, b), b)))
+        return U.vsum(U.add(U.mul(a, b), T.div(U.sub(a, b), b)))
 
     def ff(a, b):
         return float(np.sum(a * b + (a - b) / b))
@@ -63,7 +63,7 @@ def test_unary_op_grads():
     a = rng.normal(size=(5, 2)) * 2.0 + 0.3  # keep away from kinks at 0
 
     def fv(a):
-        return U.vsum(T.add(U.vabs(a), T.add(U.relu(a),
+        return U.vsum(U.add(U.vabs(a), U.add(U.relu(a),
                                              U.vexp(U.clamp(a, -1.0, 1.0)))))
 
     def ff(a):
@@ -93,7 +93,7 @@ def test_broadcast_bias_grads():
     b = rng.normal(size=3)
 
     def fv(a, b):
-        return U.vsum(U.relu(T.add(a, b)))
+        return U.vsum(U.relu(U.add(a, b)))
 
     def ff(a, b):
         return float(np.sum(np.maximum(a + b, 0.0)))
@@ -124,7 +124,7 @@ def test_sum_mean_axes_grads():
 
     def fv(a):
         col = U.vsum(a, axis=0, keepdims=True)         # (1, 4)
-        return T.add(U.vmean(U.mul(col, col)), U.vsum(a))
+        return U.add(U.vmean(U.mul(col, col)), U.vsum(a))
 
     def ff(a):
         col = a.sum(axis=0, keepdims=True)
@@ -143,7 +143,7 @@ def test_gather_scatter_grads():
         g = T.gather_rows(a, idx)
         s = T.scatter_rows(g, np.array([0, 0, 1, 2, 2]), 3)
         u = T.gather_rows(a, uniq)
-        return T.add(U.vsum(U.mul(s, s)), U.vsum(u))
+        return U.add(U.vsum(U.mul(s, s)), U.vsum(u))
 
     def ff(a):
         g = a[idx]
@@ -221,9 +221,9 @@ def test_pair_messages_matches_unfused_composition():
         return U.vsum(U.mul(out, out))
 
     def fv_unfused(fk, fq, w, b_in, b_out):
-        pre = T.add(T.add(T.gather_rows(fk, key_idx),
+        pre = U.add(U.add(T.gather_rows(fk, key_idx),
                           T.gather_rows(fq, query_idx)), b_in)
-        out = T.add(U.matmul(U.relu(pre), w), b_out)
+        out = U.add(U.matmul(U.relu(pre), w), b_out)
         return U.vsum(U.mul(out, out))
 
     def ff(fk, fq, w, b_in, b_out):
@@ -317,7 +317,7 @@ def test_leaves_sharing_a_backfn_array_sum_into_their_own():
     w = rng.normal(size=(6, 1))
     with T.Tape():
         u = T.concat([a, b], axis=0)
-        c = T.add(a, b)
+        c = U.add(a, b)
         rows = T.reshape(T.concat([c, u], axis=0), (3, 6))
         T.backward(U.vsum(U.matmul(rows, w)))
     g = np.tile(w.T, (3, 1)).reshape(6, 3)  # d(loss)/d[c; a; b]

@@ -159,9 +159,9 @@ def fresh_state(params, seed=0, **kw):
 
 
 def whitened_batch(dataset, offsets, width, rng):
-    """[(window, input_mask, loss_mask)] for the windows at `offsets`."""
-    windows = [dataset.window(off, width) for off in offsets]
-    return [(win, *training_whiten(win, rng=rng)) for win in windows]
+    """The whitened windows at `offsets`."""
+    return [graphfill.train._whitened(dataset.window(off, width), rng)
+            for off in offsets]
 
 
 def test_divergence_leaves_no_gradient_behind(monkeypatch):
@@ -176,7 +176,7 @@ def test_divergence_leaves_no_gradient_behind(monkeypatch):
 
     def failing_on_first(win, graph, params, input_mask=None):
         seen.append(id(win))
-        if win is batch[0][0]:
+        if win is batch[0]:
             raise NonFiniteError("non-finite values produced by a forward "
                                  "operation")
         return spin_forward(win, graph, params, input_mask=input_mask)
@@ -184,7 +184,7 @@ def test_divergence_leaves_no_gradient_behind(monkeypatch):
     monkeypatch.setattr(graphfill.train, "spin_forward", failing_on_first)
     with pytest.raises(DivergenceError, match="at epoch 3, step 7: non-finite"):
         train_step(state, graph, batch, lr=0.01)
-    assert seen == [id(win) for win, _, _ in reversed(batch)]
+    assert seen == [id(win) for win in reversed(batch)]
     assert all(p.grad is None for p in params.parameters())
     assert state.step == 7 and state.adam.t == 0
 

@@ -9,14 +9,16 @@ validation MAE must be identical.
 One optimizer step, which now runs one tape per window, last window
 first, is taken twice from the same state and batch: once by
 `graphfill.train.train_step` and once by the single-tape
-`reference_train.reference_train_step`. Parameters, Adam's moments and
-step count, and the returned loss must be identical.
+`reference_train.reference_train_step`, which takes each whitened window
+as its (window, input_mask, loss_mask) triple. Parameters, Adam's moments
+and step count, and the returned loss must be identical.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +119,21 @@ def test_train_matches_reference(case):
     assert run(train, case) == run(reference_train, case)
 
 
+@pytest.mark.parametrize("variant", ["spin", "spin-h"])
+def test_train_matches_reference_with_a_blank_validation_window(variant):
+    # At W 3 the 6 validation steps hold two windows; the first has nothing
+    # observed, so validation scores the second alone.
+    case = Case(variant, 3, 4, 2, None, False, 0.05, 2, 2, 2, 5)
+    results = []
+    for trainer in (train, reference_train):
+        dataset, graph, params, config = problem(case)
+        dataset.mask[42:45] = False
+        _, history, best_val = trainer(dataset, graph, config, params)
+        results.append((b"".join(p.data.tobytes() for p in params.parameters()),
+                        repr(history), repr(best_val)))
+    assert results[0] == results[1]
+
+
 def test_examples_skip_windows_and_stop_early(monkeypatch):
     sizes = []
     draw_batch = graphfill.train.draw_batch
@@ -131,6 +148,12 @@ def test_examples_skip_windows_and_stop_early(monkeypatch):
     assert any(0 < size < SKIPPING.batch_size for size in sizes), sizes
     _, history, _ = run(train, STOPPING)
     assert history.count("'epoch'") == 2  # epoch 2 did not improve: stop
+
+
+def reference_step(state, graph, batch, lr):
+    """`reference_train_step` on the triples of the whitened windows."""
+    triples = [(win, win.mask, win.eval_mask) for win in batch]
+    return reference_train_step(state, graph, triples, lr)
 
 
 def step(stepper, case):
@@ -155,7 +178,7 @@ def step(stepper, case):
 @settings(max_examples=40)
 @given(cases(max_batch=7))
 def test_train_step_matches_single_tape(case):
-    assert step(train_step, case) == step(reference_train_step, case)
+    assert step(train_step, case) == step(reference_step, case)
 
 
 def test_train_step_matches_single_tape_on_odd_skipped_and_subsampled_batches():
@@ -174,4 +197,4 @@ def test_train_step_matches_single_tape_on_odd_skipped_and_subsampled_batches():
     for case, n_windows in examples:
         n, got = step(train_step, case)
         assert n == n_windows, case
-        assert got == step(reference_train_step, case)[1], case
+        assert got == step(reference_step, case)[1], case

@@ -23,8 +23,8 @@ two older paths, both over flat message sets (key_idx, starts, query):
 a chain of reshape, gather_rows, `sub`, `vabs`, `vmean` (`vsum`, then
 `div`) and `add` per layer.
 
-`mul`, `relu`, `matmul`, `sub`, `vabs`, `vsum` and `vmean` are ops the
-package itself no longer needs.
+`add`, `mul`, `relu`, `matmul`, `sub`, `vabs`, `vsum` and `vmean` are
+ops the package itself no longer needs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,16 @@ import numpy as np
 
 import graphfill.tensor as T
 from graphfill.errors import EmptySetError, ShapeError
+
+
+def add(a, b):
+    a, b = T.as_value(a), T.as_value(b)
+    data = a.data + b.data
+
+    def backfn(g):
+        return T._unbroadcast(g, a.data.shape), T._unbroadcast(g, b.data.shape)
+
+    return T._make_output(data, (a, b), backfn)
 
 
 def mul(a, b):
@@ -108,7 +118,7 @@ def mlp_chain(parts, weights, biases):
     """The chain `T.mlp` replaces, with its signature and results."""
     x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
     for k, (w, b) in enumerate(zip(weights, biases)):
-        x = T.add(matmul(x, w), b)
+        x = add(matmul(x, w), b)
         if k < len(weights) - 1:
             x = relu(x)
     return x
@@ -125,7 +135,7 @@ def spin_loss_chain(output, truth, loss_mask):
         flat = T.reshape(readout, (-1, 1))
         diff = sub(T.gather_rows(flat, pos), truth_rows)
         term = vmean(vabs(diff))
-        acc = term if acc is None else T.add(acc, term)
+        acc = term if acc is None else add(acc, term)
     return acc
 
 
