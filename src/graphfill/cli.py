@@ -182,8 +182,9 @@ def cmd_train(cfg: RunConfig) -> int:
     params = build_params(cfg.model, dataset.n_nodes, cfg.train.seed)
     t0 = time.time()
 
-    def report(row):
-        print(f"epoch {row['epoch']:3d}  loss {row['train_loss']:.5f}  "
+    def report(row):  # an epoch without a step has no loss
+        loss = "-" if math.isnan(row["train_loss"]) else f"{row['train_loss']:.5f}"
+        print(f"epoch {row['epoch']:3d}  loss {loss}  "
               f"val_mae {row['val_mae']:.5f}  lr {row['lr']:.2e}", flush=True)
 
     try:

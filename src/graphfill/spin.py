@@ -19,16 +19,16 @@ W steps of the learned states. A shared readout maps every block's states
 to value predictions; training supervises all of them, imputation uses
 the last.
 
-All message sets of one branch and layer are one `MessageSets` record,
-run by one tape op, `tensor.attention_blocks`: the message MLP, the
-per-set softmax and the sum of contexts onto query rows. Every set reads
-one whole key group: a node's observed steps (masked phase), all W of
-its steps (open phase), or, in spin-h, a node's K hubs. So a group and
-the Wq query rows that read it form a dense Wq × c block, and
-`block_sets` buckets a branch's blocks by their key count c into
-(G, Wq, c) arrays, no padding and no loop over nodes or edges: spin self
-blocks are nodes, cross blocks edges, each with the W steps of the
-receiving node as query rows. Message sets are materialized only for
+All message sets of one branch are one `tensor.MessageSets` record,
+built once per forward and run in every layer by one tape op,
+`tensor.attention_blocks`: the message MLP, the per-set softmax and the
+sum of contexts onto query rows. Every set reads one whole key group: a
+node's observed steps (masked phase), all W of its steps (open phase),
+or, in spin-h, a node's K hubs. So a group and the Wq query rows that
+read it form a dense Wq × c block; `block_sets` buckets blocks by key
+count c into (G, Wq, c) arrays, and `position_sets` makes the self
+blocks (nodes) and cross blocks (edges) of spin and spin-h, each with
+the W steps of the receiving node as query rows. Sets exist only for
 allowed (sender, receiver) pairs — masking is structural, never an
 additive penalty — so hidden values are unread by construction, and a
 masked-phase forward is bit-for-bit independent of them.
@@ -53,33 +53,7 @@ N_LAYERS = 4
 N_MASKED_LAYERS = 3  # eta, for both variants
 
 
-@dataclass
-class MessageSets:
-    """One attention branch's message sets, as dense blocks.
-
-    `blocks` holds one (keys (G, c), rows (G, Wq)) pair of intp arrays
-    per distinct key count c: each of a block's Wq query rows reads the
-    block's c keys, one set per (block, query row). Cross-branch blocks
-    of edges with the same destination share query rows, so summing
-    contexts onto them performs the neighbor sum. `n_pairs` counts the
-    (key, query) pairs, sum G·Wq·c, and is the record's length.
-    """
-    blocks: list
-    n_pairs: int
-
-    def __len__(self) -> int:
-        return self.n_pairs
-
-    @property
-    def starts(self) -> np.ndarray:
-        """Each set's first pair, in the order `attention_blocks` lays out
-        its weights."""
-        sizes = np.repeat([keys.shape[1] for keys, _ in self.blocks],
-                          [rows.size for _, rows in self.blocks]).astype(np.intp)
-        return np.cumsum(sizes) - sizes
-
-
-def block_sets(members, offsets, group, rows) -> MessageSets:
+def block_sets(members, offsets, group, rows) -> T.MessageSets:
     """Blocks whose query rows each read one key group.
 
     Key group j holds members[offsets[j]:offsets[j + 1]]; the query rows
@@ -94,7 +68,7 @@ def block_sets(members, offsets, group, rows) -> MessageSets:
         pick = sizes == c
         keys = members[offsets[group[pick]][:, None] + np.arange(c)]
         blocks.append((keys, rows[pick]))
-    return MessageSets(blocks, sum(keys.size * rows.shape[1] for keys, rows in blocks))
+    return T.MessageSets(blocks)
 
 
 def node_steps(mask):
@@ -114,21 +88,25 @@ def step_rows(dst, w, n):
     return dst[:, None] + np.arange(w) * n
 
 
-def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
-    """(self_sets, cross_sets) of one phase.
-
-    With `masked` set, node j contributes only its observed steps as keys;
-    otherwise all W steps. Queries always run over all (node, step)
-    positions: the self branch has one block per node, the cross branch
-    one per edge, each with the W steps of the destination as query rows.
-    """
-    w, n = input_mask.shape
+def position_sets(members, offsets, graph: SensorGraph, w):
+    """(self_sets, cross_sets) of a W-step window's positions. Node i
+    sends key group i, members[offsets[i]:offsets[i + 1]] (its steps, or
+    its hubs in spin-h): to node i's W steps (one self block per node)
+    and to the destination's W steps (one cross block per out-edge)."""
+    n = len(offsets) - 1
     if graph.n_nodes != n:
         raise ShapeError(f"graph has {graph.n_nodes} nodes, window has {n}")
-    keys = node_steps(input_mask if masked else np.ones((w, n), dtype=bool))
     nodes = np.arange(n)
-    return (block_sets(*keys, nodes, step_rows(nodes, w, n)),
-            block_sets(*keys, graph.src, step_rows(graph.dst, w, n)))
+    return (block_sets(members, offsets, nodes, step_rows(nodes, w, n)),
+            block_sets(members, offsets, graph.src, step_rows(graph.dst, w, n)))
+
+
+def build_attention_plan(input_mask, graph: SensorGraph, masked: bool):
+    """(self_sets, cross_sets) of one phase: node j's key group is its
+    observed steps with `masked` set, otherwise all W steps."""
+    w, n = input_mask.shape
+    keys = node_steps(input_mask if masked else np.ones((w, n), dtype=bool))
+    return position_sets(*keys, graph, w)
 
 
 def score_vector(d, rng) -> T.Value:
@@ -246,7 +224,7 @@ def attend(key_src, query_src, *, key_idx, msg_mlp, score):
         raise ShapeError(
             f"message MLP expects width {msg_mlp.widths[0]}, sources have "
             f"{dk} + {dq}")
-    out, alpha = T.attention_blocks(key_src, query_src, key_idx.blocks,
+    out, alpha = T.attention_blocks(key_src, query_src, key_idx,
                                     msg_mlp.weights[0], msg_mlp.biases[0],
                                     msg_mlp.weights[1], msg_mlp.biases[1], score)
     return out, (alpha, key_idx.starts)
@@ -273,8 +251,7 @@ def init_states(params, window, graph, input_mask=None):
     h_obs = params.init_observed(T.gather_rows(x_leaf, obs_pos),
                                  T.gather_rows(q_flat, obs_pos))
     h_targ = params.init_target(T.gather_rows(q_flat, targ_pos))
-    h = T.scatter_rows(T.concat([h_obs, h_targ], axis=0),
-                       np.concatenate([obs_pos, targ_pos]), w * n)
+    h = T.scatter_rows([h_obs, h_targ], [obs_pos, targ_pos], w * n)
     return input_mask, x_leaf, h
 
 

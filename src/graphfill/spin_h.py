@@ -15,9 +15,10 @@ summary of its sequence. Every layer runs two phases:
 All softmax sets in phase 2 have fixed size K, so the per-layer pair
 count is (N+E)·W·K plus the phase-1 count (N·W_obs·K when masked), linear
 in W instead of quadratic. `HubPlan` builds every branch of a forward
-with spin's `block_sets`: a hub block is a node's K hubs reading its
-steps (Wq = K), a hub-read block is the W positions of a node reading
-the K hubs of that node or of an in-neighbor (c = K).
+once: a hub block (spin's `block_sets`) is a node's K hubs reading its
+steps (Wq = K), and the read branches are spin's `position_sets` with a
+node's K hubs as its key group, the W positions of a node reading the K
+hubs of that node or of an in-neighbor (c = K).
 
 Hubs start from one shared trainable (K, d_z) base replicated to every
 node, which keeps the model permutation-equivariant and its size
@@ -35,8 +36,8 @@ from .errors import ValidationError
 from .graph import SensorGraph
 from .nn import Mlp
 from .spin import (D_H, N_MASKED_LAYERS, ImputationOutput, _Parameters, attend,
-                   block_sets, init_states, node_steps, position_update,
-                   run_layers, score_vector, step_rows)
+                   block_sets, init_states, node_steps, position_sets,
+                   position_update, run_layers, score_vector)
 
 N_LAYERS_H = 5
 N_HUBS = 4
@@ -58,15 +59,14 @@ class HubPlan:
         w, n = input_mask.shape
         nodes = np.arange(n)
         hub_ids = nodes[:, None] * n_hubs + np.arange(n_hubs)
+        self.read_self, self.read_cross = position_sets(
+            hub_ids.ravel(), np.arange(n + 1) * n_hubs, graph, w)
 
         def hub_sets(mask):
             return block_sets(*node_steps(mask), nodes, hub_ids)
 
         self.masked_hub = hub_sets(input_mask)
         self.open_hub = hub_sets(np.ones((w, n), dtype=bool)) if with_open else None
-        hubs = hub_ids.ravel(), np.arange(n + 1) * n_hubs
-        self.read_self = block_sets(*hubs, nodes, step_rows(nodes, w, n))
-        self.read_cross = block_sets(*hubs, graph.src, step_rows(graph.dst, w, n))
 
 
 class SpinHParameters(_Parameters):

@@ -8,19 +8,20 @@ inputs, because no gradient array is ever written in place. With no
 active tape, operations only compute values, which keeps repeated
 forward evaluations (finite differences, benchmarks) cheap.
 
-The op set is deliberately small: div, concat, reshape, gather_rows
-(repeated rows sum their gradients), scatter_rows (a scatter-add), and
+The op set is deliberately small: div, reshape, gather_rows (repeated
+rows sum their gradients), scatter_rows (a scatter-add of row parts), and
 three model-level ops: mlp, one record for a whole multi-layer perceptron
 over the concatenation of its input parts; attention_blocks, one for a
 whole attention branch (the message MLP over [key, query] pairs, per-set
-softmax and weighted sum, contexts summed onto query rows) over dense
-blocks of sets that share their keys; and layer_l1, one for the
-layer-wise loss over every readout. That is enough for MLPs, softmax
-attention over variable-size message sets, and training.
+softmax and weighted sum, contexts summed onto query rows) over the dense
+blocks of a `MessageSets` record, sets that share their keys; and
+layer_l1, one for the layer-wise loss over every readout. That is enough
+for MLPs, softmax attention over variable-size message sets, and training.
 
-Every operation result must be finite; NaN or Inf raises immediately
-rather than propagating. Leaves are exempt so that deliberately poisoned
-(hidden) entries may sit in an input array as long as no op reads them.
+Every operation result must be finite; NaN or Inf raises immediately,
+naming the op, rather than propagating. Leaves are exempt so that
+deliberately poisoned (hidden) entries may sit in an input array as long
+as no op reads them.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
-def _check_finite(arr):
+def _check_finite(arr, op="a forward operation"):
     # A single non-finite entry makes the full sum non-finite (inf - inf
     # is NaN), so one reduction checks the whole array without allocating.
     # Finite entries can also overflow the sum; only then is every entry
@@ -133,12 +134,12 @@ def _check_finite(arr):
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(arr)
     if not np.isfinite(total) and not np.isfinite(arr).all():
-        raise NonFiniteError("non-finite values produced by a forward operation")
+        raise NonFiniteError(f"non-finite values produced by {op}")
 
 
-def _make_output(data, inputs, backfn):
-    """Create the result Value and record it on the active tape."""
-    _check_finite(data)
+def _make_output(data, inputs, backfn, op="a forward operation"):
+    """Create the result Value of `op` and record it on the active tape."""
+    _check_finite(data, op)
     out = Value(data)
     tape = _ACTIVE_TAPE
     if tape is not None:
@@ -175,31 +176,14 @@ def div(a, b):
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
         return ga, gb
 
-    return _make_output(data, (a, b), backfn)
-
-
-def concat(values, axis=-1):
-    values = [as_value(v) for v in values]
-    data = np.concatenate([v.data for v in values], axis=axis)
-    sizes = [v.data.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def backfn(g):
-        pieces = []
-        for k in range(len(values)):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offsets[k], offsets[k + 1])
-            pieces.append(g[tuple(idx)])
-        return tuple(pieces)
-
-    return _make_output(data, tuple(values), backfn)
+    return _make_output(data, (a, b), backfn, "div")
 
 
 def reshape(a, shape):
     a = as_value(a)
     data = a.data.reshape(shape)
     orig = a.data.shape
-    return _make_output(data, (a,), lambda g: (g.reshape(orig),))
+    return _make_output(data, (a,), lambda g: (g.reshape(orig),), "reshape")
 
 
 def _scatter_add(rows, idx, n_rows):
@@ -222,19 +206,24 @@ def gather_rows(a, idx):
     a = as_value(a)
     idx = np.asarray(idx, dtype=np.intp)
     return _make_output(a.data[idx], (a,),
-                        lambda g: (_scatter_add(g, idx, a.data.shape[0]),))
+                        lambda g: (_scatter_add(g, idx, a.data.shape[0]),),
+                        "gather_rows")
 
 
-def scatter_rows(rows, idx, n_rows):
-    """Accumulate `rows` into a zero array of n_rows rows at positions idx.
+def scatter_rows(parts, idx, n_rows):
+    """Accumulate row parts into a zero array of n_rows rows: part k's
+    rows at positions idx[k].
 
-    Duplicate indices sum in array order, which keeps floating-point
-    accumulation deterministic.
+    Duplicate indices sum in order, part by part, which keeps
+    floating-point accumulation deterministic. The backward gathers each
+    part's rows, g[idx[k]].
     """
-    rows = as_value(rows)
-    idx = np.asarray(idx, dtype=np.intp)
-    data = _scatter_add(rows.data, idx, n_rows)
-    return _make_output(data, (rows,), lambda g: (g[idx],))
+    parts = [as_value(p) for p in parts]
+    idx = [np.asarray(i, dtype=np.intp) for i in idx]
+    data = _scatter_add(np.concatenate([p.data for p in parts]),
+                        np.concatenate(idx), n_rows)
+    return _make_output(data, tuple(parts), lambda g: tuple(g[i] for i in idx),
+                        "scatter_rows")
 
 
 def mlp(parts, weights, biases):
@@ -283,7 +272,7 @@ def mlp(parts, weights, biases):
             h += b.data
         if k == len(weights) - 1:
             break
-        _check_finite(h)
+        _check_finite(h, f"mlp (hidden layer {k})")
         hidden.append(np.maximum(h, 0.0, out=h))
 
     def backfn(g):
@@ -300,7 +289,7 @@ def mlp(parts, weights, biases):
         pieces = tuple(g[..., offsets[j]:offsets[j + 1]] for j in range(len(parts)))
         return pieces + tuple(g_w) + tuple(g_b)
 
-    return _make_output(h, (*parts, *weights, *biases), backfn)
+    return _make_output(h, (*parts, *weights, *biases), backfn, "mlp")
 
 
 # Logits further than this below their set max contribute < 1e-26 of the
@@ -308,14 +297,46 @@ def mlp(parts, weights, biases):
 LOGIT_SPAN = 60.0
 
 
-def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
-                     score):
-    """One attention branch over dense blocks of message sets, as one tape op.
+class MessageSets:
+    """One attention branch's message sets: dense blocks and their layout.
 
-    `blocks` holds (keys, rows) pairs of intp arrays, keys (G, c) with
-    c >= 1 and rows (G, Wq). Block g holds Wq sets: the set of query row
-    rows[g, q] reads the c keys keys[g, :], rows of key_src. Its pair k
-    carries the message of a two-layer MLP over [key row, query row],
+    `blocks` holds (keys (G, c), rows (G, Wq)) pairs of intp arrays, c >= 1:
+    each of a block's Wq query rows reads its c keys, one set per (block,
+    query row); blocks that share query rows (the cross sets of one
+    destination) sum their contexts there. Each block is checked once,
+    here, and the flat layout is derived once per plan, in block order:
+    `rows` (each set's query row), `keys` (each block's key rows), `starts`
+    (each set's first pair) and `n_pairs` (sum G·Wq·c, the record's length).
+    """
+
+    def __init__(self, blocks):
+        for keys, rows in blocks:
+            if keys.ndim != 2 or rows.ndim != 2 or len(keys) != len(rows):
+                raise ShapeError(f"a block needs keys (G, c) and rows (G, Wq), "
+                                 f"got {keys.shape} and {rows.shape}")
+            if keys.shape[1] < 1:
+                raise EmptySetError("every message set needs at least one key")
+        self.blocks = blocks
+        none = [np.empty(0, dtype=np.intp)]
+        self.rows = np.concatenate(none + [rows.ravel() for _, rows in blocks])
+        self.keys = np.concatenate(none + [keys.ravel() for keys, _ in blocks])
+        sizes = np.repeat([keys.shape[1] for keys, _ in blocks],
+                          [rows.size for _, rows in blocks]).astype(np.intp)
+        self.starts = np.cumsum(sizes) - sizes
+        self.n_pairs = int(sizes.sum())
+
+    def __len__(self) -> int:
+        return self.n_pairs
+
+
+def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
+                     score):
+    """One attention branch over a `MessageSets` record, as one tape op.
+
+    Block g of sets.blocks, keys (G, c) and rows (G, Wq), holds Wq sets:
+    the set of query row rows[g, q] reads the c keys keys[g, :], rows of
+    key_src. Its pair k carries the message of a two-layer MLP over
+    [key row, query row],
 
         r = relu(key_src[keys[g, k]] @ w_in[:dk]
                  + query_src[rows[g, q]] @ w_in[dk:] + b_in) @ w_out + b_out,
@@ -343,15 +364,6 @@ def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
     key_src, query_src = as_value(key_src), as_value(query_src)
     w_in, b_in, w_out = as_value(w_in), as_value(b_in), as_value(w_out)
     b_out, score = as_value(b_out), as_value(score)
-    blocks = [(np.asarray(keys, dtype=np.intp), np.asarray(rows, dtype=np.intp))
-              for keys, rows in blocks]
-    for keys, rows in blocks:
-        if keys.ndim != 2 or rows.ndim != 2 or len(keys) != len(rows):
-            raise ShapeError(f"a block needs keys (G, c) and rows (G, Wq), got "
-                             f"{keys.shape} and {rows.shape}")
-        if keys.shape[1] < 1:
-            raise EmptySetError("every message set needs at least one key")
-    rows_all = np.concatenate([rows.ravel() for _, rows in blocks])
     hidden = w_out.data.shape[0]
 
     # alpha and pooled outlive this call (the backward and the caller's
@@ -360,47 +372,46 @@ def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
     # those free: perfbench's spin-impute-block read a peak RSS of 73-74 MB
     # so, 78 MB with per-block results concatenated at the end (seed 11,
     # 2-vCPU Xeon).
-    alpha = np.empty(sum(rows.size * keys.shape[1] for keys, rows in blocks))
-    pooled = np.empty((len(rows_all), hidden))
+    alpha = np.empty(sets.n_pairs)
+    pooled = np.empty((len(sets.rows), hidden))
     dk = key_src.data.shape[-1]
     w_key, w_query = w_in.data[:dk], w_in.data[dk:]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         from_key = key_src.data @ w_key
         from_query = query_src.data @ w_query
-    _check_finite(from_key)
-    _check_finite(from_query)
+    _check_finite(from_key, "attention_blocks (first layer)")
+    _check_finite(from_query, "attention_blocks (first layer)")
     from_query += b_in.data
     v = np.dot(w_out.data, score.data[:, 0])
     kept, p, s = [], 0, 0  # per block: hid, inside, alpha view, pooled rows
-    for keys, rows in blocks:
+    for keys, rows in sets.blocks:
         (g, wq), c = rows.shape, keys.shape[1]
         hid = from_query[rows][:, :, None, :] + from_key[keys][:, None, :, :]
         np.maximum(hid, 0.0, out=hid)
         logit = (hid.reshape(-1, hidden) @ v).reshape(g, wq, c)
-        _check_finite(logit)
+        _check_finite(logit, "attention_blocks (logits)")
         shifted = logit - logit.max(axis=-1, keepdims=True)
         inside = shifted >= -LOGIT_SPAN
         e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
         a = alpha[p:p + e.size].reshape(g, wq, c)
         np.divide(e, e.sum(axis=-1, keepdims=True), out=a)
-        sets = slice(s, s + g * wq)
-        np.matmul(a[:, :, None, :], hid, out=pooled[sets].reshape(g, wq, 1, hidden))
-        kept.append((hid, inside, a, sets))
+        span = slice(s, s + g * wq)
+        np.matmul(a[:, :, None, :], hid, out=pooled[span].reshape(g, wq, 1, hidden))
+        kept.append((hid, inside, a, span))
         p, s = p + e.size, s + g * wq
     ctx = pooled @ w_out.data
     ctx += b_out.data
-    data = _scatter_add(ctx, rows_all, query_src.data.shape[0])
+    data = _scatter_add(ctx, sets.rows, query_src.data.shape[0])
 
     def backfn(g):
-        g = g[rows_all]
+        g = g[sets.rows]
         g_pooled = g @ w_out.data.T
         g_v = np.zeros(hidden)
         g_fq = np.empty_like(g_pooled)
-        keys_all = np.concatenate([keys.ravel() for keys, _ in blocks])
-        g_fk = np.empty((len(keys_all), hidden))
+        g_fk = np.empty((len(sets.keys), hidden))
         k = 0
-        for (keys, rows), (hid, inside, a, sets) in zip(blocks, kept):
-            gp = g_pooled[sets].reshape(rows.shape + (1, hidden))
+        for (keys, rows), (hid, inside, a, span) in zip(sets.blocks, kept):
+            gp = g_pooled[span].reshape(rows.shape + (1, hidden))
             g_alpha = np.matmul(hid, gp.swapaxes(-1, -2))[..., 0]
             g_logit = g_alpha - (a * g_alpha).sum(axis=-1, keepdims=True)
             g_logit *= a
@@ -414,14 +425,14 @@ def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
             # einsum sums the key axis about 2x faster than .sum(axis=2)
             # (hidden 32, c 10-90), with the same bits when hidden > 1; at
             # hidden 1 both reduce a contiguous axis, in different orders
-            g_fq[sets] = np.einsum("gqkh->gqh", g_hid).reshape(-1, hidden)
+            g_fq[span] = np.einsum("gqkh->gqh", g_hid).reshape(-1, hidden)
             g_fk[k:k + keys.size] = g_hid.sum(axis=1).reshape(-1, hidden)
             k += keys.size
         g_w_out = pooled.T @ g
         g_w_out += np.outer(g_v, score.data[:, 0])
-        g_fq = _scatter_add(g_fq, rows_all, query_src.data.shape[0])
+        g_fq = _scatter_add(g_fq, sets.rows, query_src.data.shape[0])
         g_b_in = g_fq.sum(axis=0)
-        g_fk = _scatter_add(g_fk, keys_all, key_src.data.shape[0])
+        g_fk = _scatter_add(g_fk, sets.keys, key_src.data.shape[0])
         g_w_in = np.concatenate([key_src.data.T @ g_fk, query_src.data.T @ g_fq])
         return (g_fq @ w_query.T, g_fk @ w_key.T, g_w_in, g_b_in,
                 g_w_out, g.sum(axis=0), np.dot(w_out.data.T, g_v)[:, None])
@@ -430,7 +441,7 @@ def attention_blocks(key_src, query_src, blocks, w_in, b_in, w_out, b_out,
     # adds the query part before the key part. The order is part of the
     # result: the other one changes trained parameters in the last bits.
     out = _make_output(data, (query_src, key_src, w_in, b_in, w_out, b_out, score),
-                       backfn)
+                       backfn, "attention_blocks")
     return out, alpha[:, None]
 
 
@@ -465,7 +476,7 @@ def layer_l1(readouts, truth, pos):
         return tuple(_scatter_add(g * s, pos, r.data.size).reshape(r.data.shape)
                      for r, s in zip(readouts, signs))
 
-    return _make_output(total, tuple(readouts), backfn)
+    return _make_output(total, tuple(readouts), backfn, "layer_l1")
 
 
 def backward(root: Value):

@@ -171,20 +171,23 @@ def train(dataset: Dataset, graph: SensorGraph, config: TrainConfig, params,
             f"the validation split ('data.split', data rows "
             f"{val_sl.start + 1}-{val_sl.stop}) has no observed entry to hide")
 
+    schedule = partial(lr_schedule, base_lr=config.lr,
+                       warmup_steps=config.warmup_steps,
+                       restart_period_epochs=config.restart_period)
     param_list = params.parameters()
     state = TrainState(params=params, rng=np.random.default_rng(config.seed),
                        adam=AdamState(param_list),
                        best_state=[p.data.copy() for p in param_list])
     for epoch in range(1, config.epochs_max + 1):
         state.epoch = epoch
-        losses, lr = [], 0.0
+        losses, lr = [], None
         for _ in range(config.batches_per_epoch):
             batch_graph, batch = draw_batch(state.rng, train_view, graph, config)
             if batch:
-                lr = lr_schedule(state.step, epoch - 1, base_lr=config.lr,
-                                 warmup_steps=config.warmup_steps,
-                                 restart_period_epochs=config.restart_period)
+                lr = schedule(state.step, epoch - 1)
                 losses.append(train_step(state, batch_graph, batch, lr))
+        if lr is None:  # no step: the rate the epoch's next step would take
+            lr = schedule(state.step, epoch - 1)
 
         val_mae = _validation_mae(val_windows, graph, params)
         train_loss = float(np.mean(losses)) if losses else np.nan

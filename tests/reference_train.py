@@ -16,6 +16,10 @@ validation and `evaluate` score through one error pass.
 the code they replaced: validation's loose (input mask, loss mask) pairs,
 its own no-grad loop, and `evaluate`'s scoring loop. The single-tape step
 takes (window, input_mask, loss_mask) triples.
+
+One behaviour follows the package rather than the old loop: an epoch
+that takes no optimizer step records the rate its next step would take,
+not 0.0.
 """
 
 from __future__ import annotations
@@ -201,6 +205,10 @@ def reference_train(dataset: Dataset, graph: SensorGraph, config: TrainConfig,
             step += 1
             epoch_losses.append(loss_value)
 
+        if not epoch_losses:  # no step: the rate the epoch's next step would take
+            lr = lr_schedule(step, epoch - 1, base_lr=config.lr,
+                             warmup_steps=config.warmup_steps,
+                             restart_period_epochs=config.restart_period)
         val_mae = _validation_mae(val_windows, val_masks, graph, params)
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else np.nan
         history.append({"epoch": epoch, "train_loss": train_loss,

@@ -11,6 +11,8 @@ import pytest
 
 import graphfill
 from graphfill.cli import main
+from graphfill.config import TrainConfig
+from graphfill.optim import lr_schedule
 
 
 def write_json(path, doc):
@@ -395,3 +397,22 @@ def test_empty_validation_split_names_the_file_and_field(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {values_csv}: ")
     assert "'data.split'" in err and "data rows 113-128" in err
+
+
+def test_an_epoch_without_a_step_records_its_next_rate(pipeline, tmp_path, capsys):
+    # Train seed 18 steps in epoch 1 and draws a blank window in epoch 2.
+    # That epoch's row read lr 0.0 and its progress line `loss nan`; it now
+    # records the rate of the step it would take next, warm-up step 1, and
+    # prints its missing loss as `-`.
+    path, _ = blanked_run(pipeline, tmp_path, range(1, 101), epochs_max=2,
+                          batches_per_epoch=1, batch_size=1, seed=18)
+    assert main(["train", "--config", path]) == 0
+    with open(tmp_path / "out" / "history.csv") as f:
+        rows = [line.rstrip("\n").split(",") for line in f][1:]
+    assert [row[1] == "" for row in rows] == [False, True]
+    defaults = TrainConfig()
+    rate = lr_schedule(1, 1, base_lr=defaults.lr, warmup_steps=defaults.warmup_steps,
+                       restart_period_epochs=defaults.restart_period)
+    assert rate > 0.0 and float(rows[1][3]) == rate
+    out = capsys.readouterr().out
+    assert "epoch   2  loss -  val_mae " in out and "nan" not in out

@@ -15,7 +15,7 @@ def positional_encoding(step, node, params: EncodingParams) -> T.Value:
         raise ValidationError(f"node {node} out of range [0, {params.n_nodes})")
     u = T.Value(temporal_encoding([step], params.periods))
     v = T.gather_rows(params.spatial, [node])
-    q = params.fuse(T.concat([u, v], axis=-1))
+    q = params.fuse(U.concat([u, v], axis=-1))
     return T.reshape(q, (params.d_q,))
 
 

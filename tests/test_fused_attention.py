@@ -21,7 +21,7 @@ import graphfill.tensor as T
 import unfused_ops as U
 from graphfill.errors import EmptySetError, NonFiniteError, ShapeError
 from graphfill.nn import Mlp
-from graphfill.spin import MessageSets, attend, spin_forward
+from graphfill.spin import attend, spin_forward
 from graphfill.spin_h import spinh_forward
 from test_spin import random_case
 from test_spin_h import random_case as random_hub_case
@@ -52,7 +52,7 @@ def run_op(op, arrays, blocks, proj):
     """Values, weights and input gradients of sum(proj * op(...))."""
     leaves = [T.Value(a.copy(), requires_grad=True) for a in arrays]
     with T.Tape():
-        out, alpha = op(leaves[0], leaves[1], blocks, *leaves[2:])
+        out, alpha = op(leaves[0], leaves[1], T.MessageSets(blocks), *leaves[2:])
         T.backward(U.vsum(U.mul(out, proj)))
     return out.data, alpha, [leaf.grad for leaf in leaves]
 
@@ -87,7 +87,7 @@ def test_matches_unfused_with_clamped_logits():
               for g, wq, c in [(2, 3, 1), (1, 2, 4), (3, 2, 6)]]
     with T.no_grad():
         _, alpha = T.attention_blocks(T.Value(arrays[0]), T.Value(arrays[1]),
-                                      blocks, *arrays[2:])
+                                      T.MessageSets(blocks), *arrays[2:])
     # Every logit is its set's max or sits more than LOGIT_SPAN below it.
     # Then every logit gradient, and so the score gradient, is exactly 0
     # on all three paths; a weight between 0 and 1 would leave a score
@@ -106,7 +106,8 @@ def test_gradients_match_finite_differences():
     proj = rng.normal(size=(3, 3))
 
     def fv(*leaves):
-        out, _ = T.attention_blocks(leaves[0], leaves[1], blocks, *leaves[2:])
+        out, _ = T.attention_blocks(leaves[0], leaves[1], T.MessageSets(blocks),
+                                    *leaves[2:])
         return U.vsum(U.mul(out, proj))
 
     def ff(key_src, query_src, w_in, b_in, w, b_out, score):
@@ -134,7 +135,7 @@ def test_rejects_malformed_sets_and_nonfinite_logits():
               (np.array([[2, 3]]), np.array([[2]]))]
 
     def call(blocks=blocks, arrays=arrays):
-        T.attention_blocks(arrays[0], arrays[1], blocks, *arrays[2:])
+        T.attention_blocks(arrays[0], arrays[1], T.MessageSets(blocks), *arrays[2:])
 
     with pytest.raises(EmptySetError):
         call([(np.zeros((1, 0), dtype=np.intp), np.array([[0]]))])  # no keys
@@ -161,7 +162,7 @@ def test_attend_requires_two_layer_messages_and_handles_no_pairs():
     rng = np.random.default_rng(50)
     h = T.Value(rng.normal(size=(3, 4)))
     score = T.Value(rng.normal(size=(4, 1)))
-    sets = dict(key_idx=MessageSets([], 0), score=score)
+    sets = dict(key_idx=T.MessageSets([]), score=score)
     out, audit = attend(h, h, msg_mlp=Mlp([8, 5, 4], rng), **sets)
     assert np.array_equal(out.data, np.zeros((3, 4))) and audit is None
     with pytest.raises(ShapeError):

@@ -161,18 +161,18 @@ def test_train_step_matches_chain(monkeypatch, case):
 @pytest.mark.parametrize("variant", ["spin", "spin-h"])
 def test_window_tape_records(variant, n_layers):
     # per window: the position codes (2), the init MLPs with their
-    # gathers, join and scatter (7), per layer two attention branches, the
+    # gathers and scatter (6), per layer two attention branches, the
     # update MLP, the readout and its reshape (5), the loss and the root;
     # spin-h adds its gather of hub rows, and per layer a hub branch and
     # the hub-fuse MLP (7 per layer)
     if variant == "spin":
         window, graph, params = random_case(3, n_nodes=5, width=6,
                                             n_layers=n_layers, edge_p=1.0)
-        forward, want = spin_forward, 11 + 5 * n_layers
+        forward, want = spin_forward, 10 + 5 * n_layers
     else:
         window, graph, params = random_hub_case(3, n_nodes=5, width=6,
                                                 n_layers=n_layers, edge_p=1.0)
-        forward, want = spinh_forward, 12 + 7 * n_layers
+        forward, want = spinh_forward, 11 + 7 * n_layers
     with T.Tape() as tape:
         out = forward(window, graph, params)
         T.div(spin_loss(out, window.values, window.mask), 2.0)

@@ -107,7 +107,7 @@ def test_concat_slice_reshape_grads():
     b = rng.normal(size=(4, 3))
 
     def fv(a, b):
-        cat = T.concat([a, b], axis=-1)
+        cat = U.concat([a, b], axis=-1)
         sl = U.slice_rows(cat, 1, 3)
         return U.vsum(U.mul(T.reshape(sl, (10,)), T.reshape(sl, (10,))))
 
@@ -141,7 +141,7 @@ def test_gather_scatter_grads():
 
     def fv(a):
         g = T.gather_rows(a, idx)
-        s = T.scatter_rows(g, np.array([0, 0, 1, 2, 2]), 3)
+        s = T.scatter_rows([g], [np.array([0, 0, 1, 2, 2])], 3)
         u = T.gather_rows(a, uniq)
         return U.add(U.vsum(U.mul(s, s)), U.vsum(u))
 
@@ -316,9 +316,9 @@ def test_leaves_sharing_a_backfn_array_sum_into_their_own():
     b = T.Value(rng.normal(size=(2, 3)), requires_grad=True)
     w = rng.normal(size=(6, 1))
     with T.Tape():
-        u = T.concat([a, b], axis=0)
+        u = U.concat([a, b], axis=0)
         c = U.add(a, b)
-        rows = T.reshape(T.concat([c, u], axis=0), (3, 6))
+        rows = T.reshape(U.concat([c, u], axis=0), (3, 6))
         T.backward(U.vsum(U.matmul(rows, w)))
     g = np.tile(w.T, (3, 1)).reshape(6, 3)  # d(loss)/d[c; a; b]
     assert np.array_equal(a.grad, g[0:2] + g[2:4])

@@ -23,8 +23,8 @@ two older paths, both over flat message sets (key_idx, starts, query):
 a chain of reshape, gather_rows, `sub`, `vabs`, `vmean` (`vsum`, then
 `div`) and `add` per layer.
 
-`add`, `mul`, `relu`, `matmul`, `sub`, `vabs`, `vsum` and `vmean` are
-ops the package itself no longer needs.
+`add`, `mul`, `relu`, `matmul`, `sub`, `vabs`, `vsum`, `vmean` and
+`concat` are ops the package itself no longer needs.
 """
 
 from __future__ import annotations
@@ -43,6 +43,23 @@ def add(a, b):
         return T._unbroadcast(g, a.data.shape), T._unbroadcast(g, b.data.shape)
 
     return T._make_output(data, (a, b), backfn)
+
+
+def concat(values, axis=-1):
+    values = [T.as_value(v) for v in values]
+    data = np.concatenate([v.data for v in values], axis=axis)
+    sizes = [v.data.shape[axis] for v in values]
+    offsets = np.cumsum([0] + sizes)
+
+    def backfn(g):
+        pieces = []
+        for k in range(len(values)):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(offsets[k], offsets[k + 1])
+            pieces.append(g[tuple(idx)])
+        return tuple(pieces)
+
+    return T._make_output(data, tuple(values), backfn)
 
 
 def mul(a, b):
@@ -116,7 +133,7 @@ def matmul(a, b):
 
 def mlp_chain(parts, weights, biases):
     """The chain `T.mlp` replaces, with its signature and results."""
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    x = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
     for k, (w, b) in enumerate(zip(weights, biases)):
         x = add(matmul(x, w), b)
         if k < len(weights) - 1:
@@ -319,7 +336,7 @@ def unfused_attention(key_src, query_src, key_idx, starts, query, w_in, b_in,
                       w_out, b_in, b_out)
     alpha = segment_softmax(matmul(r, score), starts)
     ctx = segment_weighted_sum(alpha, r, starts)
-    return T.scatter_rows(ctx, query, query_src.data.shape[0]), alpha.data
+    return T.scatter_rows([ctx], [query], query_src.data.shape[0]), alpha.data
 
 
 def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
@@ -410,6 +427,6 @@ def flat_sets(blocks):
 
 def on_blocks(flat_op):
     """`flat_op` behind the signature of `attention_blocks`."""
-    def op(key_src, query_src, blocks, *weights):
-        return flat_op(key_src, query_src, *flat_sets(blocks), *weights)
+    def op(key_src, query_src, sets, *weights):
+        return flat_op(key_src, query_src, *flat_sets(sets.blocks), *weights)
     return op
