@@ -17,6 +17,9 @@ softmax and weighted sum, contexts summed onto query rows) over the dense
 blocks of a `MessageSets` record, sets that share their keys; and
 layer_l1, one for the layer-wise loss over every readout. That is enough
 for MLPs, softmax attention over variable-size message sets, and training.
+attention_blocks forms its (key, query) pair activations in chunks of
+block rows, about CHUNK_BYTES at a time, unless a tape keeps them for the
+backward, and the backward forms the pair gradients chunk by chunk.
 
 Every operation result must be finite; NaN or Inf raises immediately,
 naming the op, rather than propagating. Leaves are exempt so that
@@ -27,6 +30,7 @@ as no op reads them.
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -141,16 +145,23 @@ def _make_output(data, inputs, backfn, op="a forward operation"):
     """Create the result Value of `op` and record it on the active tape."""
     _check_finite(data, op)
     out = Value(data)
-    tape = _ACTIVE_TAPE
-    if tape is not None:
-        for v in inputs:
-            if v.tape is not None and v.tape is not tape:
-                raise TapeError("operation mixes values from different tapes")
-        if any(v.requires_grad for v in inputs):
-            out.requires_grad = True
-            out.tape = tape
-            tape.records.append((out, inputs, backfn))
+    if _recording(inputs):
+        out.requires_grad = True
+        out.tape = _ACTIVE_TAPE
+        _ACTIVE_TAPE.records.append((out, inputs, backfn))
     return out
+
+
+def _recording(inputs):
+    """Whether an op over `inputs` goes on the active tape: a tape is
+    active and an input requires grad."""
+    tape = _ACTIVE_TAPE
+    if tape is None:
+        return False
+    for v in inputs:
+        if v.tape is not None and v.tape is not tape:
+            raise TapeError("operation mixes values from different tapes")
+    return any(v.requires_grad for v in inputs)
 
 
 def _unbroadcast(g, shape):
@@ -296,6 +307,12 @@ def mlp(parts, weights, biases):
 # mass; clamping there blocks exp underflow without affecting results.
 LOGIT_SPAN = 60.0
 
+# Bytes of pair activations, (rows, Wq, c, hidden) float64, that
+# attention_blocks forms at once: in a forward no tape records, and in
+# every backward. A chunk takes at least one unit of 1-4 rows (see
+# _row_chunks), even where that alone is larger.
+CHUNK_BYTES = 1 << 20
+
 
 class MessageSets:
     """One attention branch's message sets: dense blocks and their layout.
@@ -329,6 +346,22 @@ class MessageSets:
         return self.n_pairs
 
 
+def _row_chunks(n, wq, c, hidden):
+    """Row slices of a block of n rows, Wq queries and c keys: CHUNK_BYTES
+    of (rows, Wq, c, hidden) pair activations each, and at least one row.
+
+    The logit product is a BLAS gemv over a chunk's pairs. OpenBLAS 0.3.31
+    (x86-64) forms its columns in groups of 4 counted from the first, so a
+    chunk gets the whole block's logits only if its first pair sits a
+    multiple of 4 pairs into the block: a chunk holds whole units of 1, 2
+    or 4 rows. (numpy forms a lone pair's logit by a dot product, but a
+    lone pair is a one-key set, whose weight is 1 whatever its logit.)
+    """
+    unit = 4 // math.gcd(wq * c, 4)
+    step = unit * max(1, CHUNK_BYTES // (unit * wq * c * hidden * 8))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
                      score):
     """One attention branch over a `MessageSets` record, as one tape op.
@@ -352,11 +385,23 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     folded past the softmax: a set's weights sum to 1, so its context is
     (sum_k alpha[k] * hid[k]) @ w_out + b_out, and the logit is
     hid[k] @ (w_out @ score) plus the per-set constant b_out @ score,
-    which the max shift cancels. Each entry's pairs form one dense
-    (G, Wq, c, hidden) array, so the softmax and the pooling run along
-    its key axis, and the backward sums the pair gradients over the key
-    axis for the G·Wq query rows and over the query axis for the G·c key
+    which the max shift cancels. A chunk of block rows forms its pairs as
+    one dense (rows, Wq, c, hidden) array, so the softmax and the pooling
+    run along its key axis, and the backward sums the pair gradients over
+    the key axis for the query rows and over the query axis for the key
     rows: no row is gathered or scattered once per pair.
+
+    A chunk is a run of block rows that holds about CHUNK_BYTES of pair
+    activations (`_row_chunks`). A forward that no tape records keeps
+    nothing for a backward, so it holds one chunk at a time. A recorded
+    forward keeps each block's pairs whole, one chunk per block: the
+    backward's product of the logit gradients with the pairs runs once
+    over a block's pairs, and a split product would add them in another
+    order. The backward forms the other pair gradients chunk by chunk.
+    Every other step works per set or per block row, and chunk bounds keep
+    the logit gemv's column groups, so a chunk gives the bits the whole
+    block gives. That holds with BLAS on one thread: a threaded gemv
+    splits a chunk's columns among threads elsewhere than a block's.
 
     Returns (out, alpha): a Value with query_src's row count and the
     (P, 1) weights, entry by entry in (g, q, k) order.
@@ -364,14 +409,14 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     key_src, query_src = as_value(key_src), as_value(query_src)
     w_in, b_in, w_out = as_value(w_in), as_value(b_in), as_value(w_out)
     b_out, score = as_value(b_out), as_value(score)
+    inputs = (query_src, key_src, w_in, b_in, w_out, b_out, score)
+    recorded = _recording(inputs)
     hidden = w_out.data.shape[0]
 
     # alpha and pooled outlive this call (the backward and the caller's
-    # audit read them). Allocated before the per-block temporaries and
-    # filled block by block in place, they do not split the heap space
-    # those free: perfbench's spin-impute-block read a peak RSS of 73-74 MB
-    # so, 78 MB with per-block results concatenated at the end (seed 11,
-    # 2-vCPU Xeon).
+    # audit read them). Allocated before the per-chunk temporaries and
+    # filled chunk by chunk in place, they do not split the heap space
+    # those free.
     alpha = np.empty(sets.n_pairs)
     pooled = np.empty((len(sets.rows), hidden))
     dk = key_src.data.shape[-1]
@@ -383,22 +428,26 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     _check_finite(from_query, "attention_blocks (first layer)")
     from_query += b_in.data
     v = np.dot(w_out.data, score.data[:, 0])
-    kept, p, s = [], 0, 0  # per block: hid, inside, alpha view, pooled rows
+    kept, p, s = [], 0, 0  # per recorded block: hid, inside, alpha view, pooled rows
     for keys, rows in sets.blocks:
-        (g, wq), c = rows.shape, keys.shape[1]
-        hid = from_query[rows][:, :, None, :] + from_key[keys][:, None, :, :]
-        np.maximum(hid, 0.0, out=hid)
-        logit = (hid.reshape(-1, hidden) @ v).reshape(g, wq, c)
-        _check_finite(logit, "attention_blocks (logits)")
-        shifted = logit - logit.max(axis=-1, keepdims=True)
-        inside = shifted >= -LOGIT_SPAN
-        e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
-        a = alpha[p:p + e.size].reshape(g, wq, c)
-        np.divide(e, e.sum(axis=-1, keepdims=True), out=a)
-        span = slice(s, s + g * wq)
-        np.matmul(a[:, :, None, :], hid, out=pooled[span].reshape(g, wq, 1, hidden))
-        kept.append((hid, inside, a, span))
-        p, s = p + e.size, s + g * wq
+        (n, wq), c = rows.shape, keys.shape[1]
+        for part in [slice(0, n)] if recorded else _row_chunks(n, wq, c, hidden):
+            g = part.stop - part.start
+            hid = (from_query[rows[part]][:, :, None, :]
+                   + from_key[keys[part]][:, None, :, :])
+            np.maximum(hid, 0.0, out=hid)
+            logit = (hid.reshape(-1, hidden) @ v).reshape(g, wq, c)
+            _check_finite(logit, "attention_blocks (logits)")
+            shifted = logit - logit.max(axis=-1, keepdims=True)
+            inside = shifted >= -LOGIT_SPAN if recorded else None
+            e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
+            a = alpha[p:p + e.size].reshape(g, wq, c)
+            np.divide(e, e.sum(axis=-1, keepdims=True), out=a)
+            span = slice(s, s + g * wq)
+            np.matmul(a[:, :, None, :], hid, out=pooled[span].reshape(g, wq, 1, hidden))
+            if recorded:
+                kept.append((hid, inside, a, span))
+            p, s = p + e.size, s + g * wq
     ctx = pooled @ w_out.data
     ctx += b_out.data
     data = _scatter_add(ctx, sets.rows, query_src.data.shape[0])
@@ -410,24 +459,31 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
         g_fq = np.empty_like(g_pooled)
         g_fk = np.empty((len(sets.keys), hidden))
         k = 0
-        for (keys, rows), (hid, inside, a, span) in zip(sets.blocks, kept):
-            gp = g_pooled[span].reshape(rows.shape + (1, hidden))
-            g_alpha = np.matmul(hid, gp.swapaxes(-1, -2))[..., 0]
-            g_logit = g_alpha - (a * g_alpha).sum(axis=-1, keepdims=True)
-            g_logit *= a
-            g_logit *= inside
+        for hid, inside, a, span in kept:
+            n, wq, c = a.shape
+            gp = g_pooled[span].reshape(n, wq, 1, hidden)
+            fq = g_fq[span].reshape(n, wq, hidden)
+            fk = g_fk[k:k + n * c].reshape(n, c, hidden)
+            g_logit = np.empty_like(a)
+            for part in _row_chunks(n, wq, c, hidden):
+                h, ap, gpp, gl = hid[part], a[part], gp[part], g_logit[part]
+                g_alpha = np.matmul(h, gpp.swapaxes(-1, -2))[..., 0]
+                np.subtract(g_alpha, (ap * g_alpha).sum(axis=-1, keepdims=True),
+                            out=gl)
+                gl *= ap
+                gl *= inside[part]
+                # a pair's gradient a * gp + g_logit * v is a rank-2 product,
+                # which one batched matmul forms faster than two broadcasts
+                g_hid = (np.stack([ap, gl], axis=-1)
+                         @ np.concatenate([gpp, np.broadcast_to(v, gpp.shape)], axis=2))
+                g_hid *= h > 0.0
+                # einsum sums the key axis about 2x faster than .sum(axis=2)
+                # (hidden 32, c 10-90), with the same bits when hidden > 1; at
+                # hidden 1 both reduce a contiguous axis, in different orders
+                fq[part] = np.einsum("gqkh->gqh", g_hid)
+                fk[part] = g_hid.sum(axis=1)
             g_v += g_logit.ravel() @ hid.reshape(-1, hidden)
-            # a pair's gradient a * gp + g_logit * v is a rank-2 product,
-            # which one batched matmul forms faster than two broadcasts
-            g_hid = (np.stack([a, g_logit], axis=-1)
-                     @ np.concatenate([gp, np.broadcast_to(v, gp.shape)], axis=2))
-            g_hid *= hid > 0.0
-            # einsum sums the key axis about 2x faster than .sum(axis=2)
-            # (hidden 32, c 10-90), with the same bits when hidden > 1; at
-            # hidden 1 both reduce a contiguous axis, in different orders
-            g_fq[span] = np.einsum("gqkh->gqh", g_hid).reshape(-1, hidden)
-            g_fk[k:k + keys.size] = g_hid.sum(axis=1).reshape(-1, hidden)
-            k += keys.size
+            k += n * c
         g_w_out = pooled.T @ g
         g_w_out += np.outer(g_v, score.data[:, 0])
         g_fq = _scatter_add(g_fq, sets.rows, query_src.data.shape[0])
@@ -440,8 +496,7 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     # query_src comes first: where it is also key_src (spin), its gradient
     # adds the query part before the key part. The order is part of the
     # result: the other one changes trained parameters in the last bits.
-    out = _make_output(data, (query_src, key_src, w_in, b_in, w_out, b_out, score),
-                       backfn, "attention_blocks")
+    out = _make_output(data, inputs, backfn, "attention_blocks")
     return out, alpha[:, None]
 
 

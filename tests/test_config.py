@@ -1,16 +1,22 @@
 """The config schema: round trips, and bad configs and CSVs through the CLI."""
 
+import copy
 import inspect
 import json
+import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfill.checkpoint import save_params
 from graphfill.cli import main
 from graphfill.config import RunConfig, SynthConfig, TrainConfig, build_params
 from graphfill.data import split_slices
+from graphfill.errors import ValidationError
 from graphfill.spin import SpinParameters
 from graphfill.spin_h import SpinHParameters
 from graphfill.synth import synth_series
@@ -413,3 +419,49 @@ def test_synth_defaults_are_synth_series_defaults():
     given = inspect.signature(synth_series).parameters
     for f in fields(synth):
         assert getattr(synth, f.name) == given[f.name].default, f.name
+
+
+# Values of every JSON kind, and numbers out of every field's range.
+MUTANTS = [None, True, False, "", "x", [], [1.0], [-1.0, 2.0], {}, {"x": 1},
+           0, 1, -1, 2**63, 0.5, -0.5, 1e308, -1e308, float("nan"),
+           float("inf"), float("-inf")]
+
+
+def key_paths(doc, prefix=()):
+    """The path of every key in a JSON object, sections and their keys."""
+    out = []
+    for key, value in doc.items():
+        out.append(prefix + (key,))
+        if isinstance(value, dict):
+            out.extend(key_paths(value, prefix + (key,)))
+    return out
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["distances_csv", "edges_csv"]), st.data())
+def test_mutated_configs_parse_or_name_a_field(graph_source, data):
+    # Drop a key, give it another kind, or move it out of range, 1-3 times
+    # over: the config parses, or raises ValidationError naming a field of
+    # a mutated section, and nothing else.
+    doc = copy.deepcopy(every_key(graph_source))
+    sections = set()
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = key_paths(doc)
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        owner = doc
+        for name in parents:
+            owner = owner[name]
+        if data.draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+        sections.add((parents + [key])[0])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # K >= W parses
+            RunConfig.from_dict(doc)
+    except ValidationError as exc:
+        named = re.findall(r"'([A-Za-z_]\w*(?:\.\w+)*)'", str(exc))
+        assert any(name.split(".")[0] in sections for name in named), str(exc)

@@ -1,18 +1,22 @@
-"""Tape size and traced memory of one training window per train workload.
+"""Tape size and traced memory of one window per workload.
 
     python3 tools/tape_memory.py --seed 11
 
-Sets up each train workload of `perfbench/workloads.py` for the checkout
-this file sits in, with BLAS on one thread, and runs one training window
-(the first W steps, whitened with the seed) the way a training step does:
-forward and layer-wise loss on a fresh tape, then backward. It prints one
-line per workload:
+Sets up each workload of `perfbench/workloads.py` for the checkout this
+file sits in, with BLAS on one thread. On each train workload it runs one
+training window (the first W steps, whitened with the seed) the way a
+training step does: forward and layer-wise loss on a fresh tape, then
+backward. It prints one line per train workload:
 
 * `tape_records`, the records on the tape when backward starts, the root
   included;
 * `backward_start_mb`, the bytes `tracemalloc` counts alive at that point,
   allocated since the forward began (parameters and data excluded);
 * `peak_mb`, the `tracemalloc` peak over the forward and the backward.
+
+On the impute workload it runs one no-grad `spin_forward` over the first
+window, the one its set-up runs, and prints `forward_peak_mb`, the
+`tracemalloc` peak of that forward.
 
 A first pass, not reported, builds what the forward caches. The numbers
 depend only on the tree and the seed, not on the machine's load, so they
@@ -64,6 +68,28 @@ def window_tape(workload, seed):
     return records, alive, peak
 
 
+def forward_peak(workload):
+    """tracemalloc peak bytes of one no-grad forward over the first window."""
+    import numpy as np
+
+    from graphfill import tensor as T
+    from graphfill.data import SpatioTemporalWindow
+    from graphfill.spin import spin_forward
+
+    w, mask = workload.spec.width, workload.mask[:workload.spec.width]
+    win = SpatioTemporalWindow(values=np.where(mask, workload.truth[:w], 0.0),
+                               mask=mask, eval_mask=np.zeros_like(mask),
+                               step_offsets=np.arange(w, dtype=np.float64))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            spin_forward(win, workload.graph, workload.params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -77,9 +103,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as workdir:
         for name in WORKLOADS:
             workload = make_workload(name, args.seed, workdir)
-            if not isinstance(workload, TrainWorkload):
-                continue
             workload.setup()
+            if not isinstance(workload, TrainWorkload):
+                forward_peak(workload)  # builds the forward's caches
+                print(f"{name} forward_peak_mb {forward_peak(workload) / 1e6:.1f}")
+                continue
             window_tape(workload, args.seed)  # builds the forward's caches
             records, alive, peak = window_tape(workload, args.seed)
             print(f"{name} tape_records {records} "
