@@ -263,15 +263,15 @@ def atomic_write(path, newline=None):
 
 
 def save_grid_csv(path, arr, header=None):
-    """Write a grid: floats as %.17g (an exact round trip), integers as str."""
+    """Write a grid: %.17g cells (an exact round trip) if float, else str."""
+    arr = np.asarray(arr)
+    cell = "%.17g".__mod__ if np.issubdtype(arr.dtype, np.floating) else str
     with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         if header is not None:
             writer.writerow(header)
-        for row in np.asarray(arr):
-            writer.writerow(["%.17g" % x if isinstance(x, float) or
-                             np.issubdtype(type(x), np.floating) else str(x)
-                             for x in row])
+        for row in arr:
+            writer.writerow(map(cell, row.tolist()))
 
 
 def split_slices(n_steps, fracs=DEFAULT_SPLIT):

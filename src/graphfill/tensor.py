@@ -47,12 +47,13 @@ def _keep_large_allocations_on_heap():
     write. Raising the mmap/trim thresholds keeps those buffers on the
     heap for reuse. The setting is process-global, so importing the
     package leaves it alone: `train.train` and `cli.main`, the entry
-    points, apply it on entry. Measured with perfbench (seed 11, 2-vCPU
-    Xeon, BLAS on one thread, `--seconds 10`, 6 interleaved pairs),
-    `op_s_p50` read the same with the call made on import or on entry:
-    spin-impute-block 0.045-0.048 s and 0.031-0.049 s per window (0.061-
-    0.070 s without the call), spin-train-w24 0.61-0.73 s and 0.53-0.76 s
-    per step. Best effort: silently skipped where glibc is unavailable.
+    points, apply it on entry. Measured with perfbench (seed 17, 2-vCPU
+    Xeon, BLAS on one thread, `--seconds 10`, interleaved pairs, without
+    -> with the call): spin-impute-block (5 pairs) `op_s_p50` 0.025-0.031
+    -> 0.022-0.023 s per window and `peak_rss_mb` 59.4-60.6 -> 64.4-64.6;
+    spin-train-w24 (4 pairs) 0.40-0.43 -> 0.39-0.47 s per step, within
+    noise, at equal RSS. Best effort: silently skipped where glibc is
+    unavailable.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")

@@ -1,9 +1,29 @@
-"""Bit-equality hashes of the benchmark workloads' outputs.
+"""Bit-equality hashes and deterministic counters of the benchmark workloads.
 
     python3 tools/bit_hashes.py --seed 11
 
-Runs one job of each `perfbench/workloads.py` workload, for the checkout
-this file sits in, with BLAS on one thread, and prints one line per hash:
+Runs the `perfbench/workloads.py` workloads for the checkout this file sits
+in, with BLAS on one thread. It first prints `openblas_core`, the kernel
+name that numpy's bundled OpenBLAS picked (`unknown` where numpy has no
+such library); it follows `OPENBLAS_CORETYPE`. Then it sets up each
+workload once and prints its counter line, then its hash lines.
+
+Counters, measured on one window right after set-up. A first pass, not
+reported, builds what the forward caches. They depend only on the tree and
+the seed, not on the machine's load, so they show where a change in the
+workloads' peak RSS comes from.
+
+* train workloads: the first W steps as a training sample (whitened with
+  the seed), run the way a training step runs it: forward and layer-wise
+  loss on a fresh tape, then backward. `tape_records` counts the records
+  on the tape when backward starts, the root included; `backward_start_mb`
+  is the bytes `tracemalloc` counts alive at that point, allocated since
+  the forward began (parameters and data excluded); `peak_mb` is the
+  `tracemalloc` peak over the forward and the backward.
+* `spin-impute-block`: `forward_peak_mb`, the `tracemalloc` peak of one
+  no-grad `spin_forward` over the first window, the one its set-up runs.
+
+Hashes, of one job of each workload:
 
 * train workloads: `params`, sha256 over each parameter's name, then its
   bytes, in `named_parameters` order; `history`, sha256 of the `repr` of
@@ -17,21 +37,91 @@ without `train.subsample`, and prints the sha256 of each run's
 
 Each hash is cut to its first 16 hex digits. Two checkouts whose lines are
 equal produce the same bits. The bits depend on the CPU and the BLAS
-build, so compare hashes from one machine only; this is not a CI check.
+kernel, so compare hashes from one machine only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import gc
+import glob
 import hashlib
 import json
 import os
 import sys
 import tempfile
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def openblas_core():
+    """The kernel name of numpy's bundled OpenBLAS, or 'unknown'."""
+    import numpy as np
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def window_tape(workload, seed):
+    """(records, bytes alive at backward start, peak bytes) of one window."""
+    import numpy as np
+
+    from graphfill import tensor as T
+    from graphfill.train import _whitened, forward_fn, spin_loss
+
+    sample = _whitened(workload.dataset.window(0, workload.spec.width),
+                       np.random.default_rng(seed))
+    fwd = forward_fn(workload.params)
+    for p in workload.params.parameters():
+        p.grad = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            term = spin_loss(fwd(sample, workload.graph, workload.params),
+                             sample.values, sample.eval_mask)
+            root = T.div(term, float(workload.spec.batch_size))
+            records = len(tape.records)
+            alive = tracemalloc.get_traced_memory()[0]
+            T.backward(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return records, alive, peak
+
+
+def forward_peak(workload):
+    """tracemalloc peak bytes of one no-grad forward over the first window."""
+    import numpy as np
+
+    from graphfill import tensor as T
+    from graphfill.data import SpatioTemporalWindow
+    from graphfill.spin import spin_forward
+
+    w, mask = workload.spec.width, workload.mask[:workload.spec.width]
+    win = SpatioTemporalWindow(values=np.where(mask, workload.truth[:w], 0.0),
+                               mask=mask, eval_mask=np.zeros_like(mask),
+                               step_offsets=np.arange(w, dtype=np.float64))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            spin_forward(win, workload.graph, workload.params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def digest(data: bytes) -> str:
@@ -108,10 +198,20 @@ def main(argv=None):
     from tracer import Stamps
     from workloads import WORKLOADS, TrainWorkload, make_workload
 
+    print(f"openblas_core {openblas_core()}")
     with tempfile.TemporaryDirectory() as workdir:
         for name in WORKLOADS:
             workload = make_workload(name, args.seed, workdir)
             workload.setup()
+            train = isinstance(workload, TrainWorkload)
+            if train:
+                window_tape(workload, args.seed)  # builds the forward's caches
+                records, alive, peak = window_tape(workload, args.seed)
+                print(f"{name} tape_records {records} backward_start_mb "
+                      f"{alive / 1e6:.1f} peak_mb {peak / 1e6:.1f}")
+            else:
+                forward_peak(workload)  # builds the forward's caches
+                print(f"{name} forward_peak_mb {forward_peak(workload) / 1e6:.1f}")
             stamps = Stamps()
             stamps.install()
             try:  # the impute command's own report goes to stderr
@@ -119,7 +219,7 @@ def main(argv=None):
                     job = workload.job(stamps, contextlib.nullcontext())
             finally:
                 stamps.restore()
-            if isinstance(workload, TrainWorkload):
+            if train:
                 print(f"{name} params {param_digest(workload.params)}")
                 print(f"{name} history {digest(repr(job['output']).encode())}")
             else:
