@@ -115,16 +115,16 @@ def apply_inject(dataset: Dataset, inject: InjectConfig):
 
 
 def prepare(cfg: RunConfig):
-    """Load, inject, and normalize; returns (dataset, stats, graph, raw)."""
+    """Load, inject, and normalize; returns (dataset, graph, raw)."""
     raw = apply_inject(load_dataset(cfg.data.values_csv, cfg.data.mask_csv),
                        cfg.inject)
     train_sl, _, _ = split_slices(raw.n_steps, cfg.data.split)
     try:
-        dataset, stats = normalize(raw, train_sl)
+        dataset, _ = normalize(raw, train_sl)
     except ValidationError as exc:
         raise ValidationError(f"{cfg.data.values_csv}: {exc}") from None
     graph = build_graph(cfg, raw.n_nodes)
-    return dataset, stats, graph, raw
+    return dataset, graph, raw
 
 
 def _default_checkpoint(cfg: RunConfig) -> str:
@@ -178,7 +178,7 @@ def cmd_inject(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    dataset, _, graph, _ = prepare(cfg)
+    dataset, graph, _ = prepare(cfg)
     params = build_params(cfg.model, dataset.n_nodes, cfg.train.seed)
     t0 = time.time()
 
@@ -221,7 +221,7 @@ def _load_model(cfg: RunConfig, n_nodes: int, checkpoint_path: str):
 
 def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
     out = _outdir(cfg)
-    dataset, stats, graph, raw = prepare(cfg)
+    dataset, graph, raw = prepare(cfg)
     params = _load_model(cfg, dataset.n_nodes, checkpoint_path)
     fwd = spin_forward if cfg.model.variant == "spin" else spinh_forward
     width = cfg.data.width
@@ -239,7 +239,7 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
             block[np.isnan(block)] = pred[np.isnan(block)]
     missing = ~dataset.mask
     with np.errstate(over="ignore"):  # checked just below
-        inverted = stats.invert(predictions[missing])
+        inverted = dataset.stats.invert(predictions[missing])
     if np.isnan(inverted).any():  # a finite prediction inverts to a number
         raise GraphfillError("imputation left unfilled cells")
     if not np.all(np.isfinite(inverted)):
@@ -256,7 +256,7 @@ def cmd_impute(cfg: RunConfig, checkpoint_path: str) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str) -> int:
-    dataset, _, graph, _ = prepare(cfg)
+    dataset, graph, _ = prepare(cfg)
     params = _load_model(cfg, dataset.n_nodes, checkpoint_path)
     windows = cfg.data.width, cfg.data.stride, cfg.data.split
     try:

@@ -18,8 +18,8 @@ blocks of a `MessageSets` record, sets that share their keys; and
 layer_l1, one for the layer-wise loss over every readout. That is enough
 for MLPs, softmax attention over variable-size message sets, and training.
 attention_blocks forms its (key, query) pair activations in chunks of
-block rows, about CHUNK_BYTES at a time, unless a tape keeps them for the
-backward, and the backward forms the pair gradients chunk by chunk.
+block rows, about CHUNK_BYTES at a time; a tape keeps every chunk for the
+backward, which forms the pair gradients chunk by chunk.
 
 Every operation result must be finite; NaN or Inf raises immediately,
 naming the op, rather than propagating. Leaves are exempt so that
@@ -30,7 +30,6 @@ as no op reads them.
 from __future__ import annotations
 
 import ctypes
-import math
 
 import numpy as np
 
@@ -309,9 +308,8 @@ def mlp(parts, weights, biases):
 LOGIT_SPAN = 60.0
 
 # Bytes of pair activations, (rows, Wq, c, hidden) float64, that
-# attention_blocks forms at once: in a forward no tape records, and in
-# every backward. A chunk takes at least one unit of 1-4 rows (see
-# _row_chunks), even where that alone is larger.
+# attention_blocks forms at once, in the forward and in the backward. A
+# chunk takes at least one block row, even where that alone is larger.
 CHUNK_BYTES = 1 << 20
 
 
@@ -349,17 +347,8 @@ class MessageSets:
 
 def _row_chunks(n, wq, c, hidden):
     """Row slices of a block of n rows, Wq queries and c keys: CHUNK_BYTES
-    of (rows, Wq, c, hidden) pair activations each, and at least one row.
-
-    The logit product is a BLAS gemv over a chunk's pairs. OpenBLAS 0.3.31
-    (x86-64) forms its columns in groups of 4 counted from the first, so a
-    chunk gets the whole block's logits only if its first pair sits a
-    multiple of 4 pairs into the block: a chunk holds whole units of 1, 2
-    or 4 rows. (numpy forms a lone pair's logit by a dot product, but a
-    lone pair is a one-key set, whose weight is 1 whatever its logit.)
-    """
-    unit = 4 // math.gcd(wq * c, 4)
-    step = unit * max(1, CHUNK_BYTES // (unit * wq * c * hidden * 8))
+    of (rows, Wq, c, hidden) pair activations each, and at least one row."""
+    step = max(1, CHUNK_BYTES // (wq * c * hidden * 8))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -394,15 +383,13 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
 
     A chunk is a run of block rows that holds about CHUNK_BYTES of pair
     activations (`_row_chunks`). A forward that no tape records keeps
-    nothing for a backward, so it holds one chunk at a time. A recorded
-    forward keeps each block's pairs whole, one chunk per block: the
-    backward's product of the logit gradients with the pairs runs once
-    over a block's pairs, and a split product would add them in another
-    order. The backward forms the other pair gradients chunk by chunk.
-    Every other step works per set or per block row, and chunk bounds keep
-    the logit gemv's column groups, so a chunk gives the bits the whole
-    block gives. That holds with BLAS on one thread: a threaded gemv
-    splits a chunk's columns among threads elsewhere than a block's.
+    nothing for a backward, so it holds one chunk at a time; a recorded
+    forward keeps every chunk, and the backward walks them in order. Every
+    step works per set or per block row: the two products over a block's
+    pairs, the logits and the logit gradients' product with the pairs
+    (g_v), run once per block row, and g_v adds the rows' terms in row
+    order. So a chunk runs the same products as the whole block, whatever
+    the BLAS kernel, and gives its bits.
 
     Returns (out, alpha): a Value with query_src's row count and the
     (P, 1) weights, entry by entry in (g, q, k) order.
@@ -429,15 +416,16 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     _check_finite(from_query, "attention_blocks (first layer)")
     from_query += b_in.data
     v = np.dot(w_out.data, score.data[:, 0])
-    kept, p, s = [], 0, 0  # per recorded block: hid, inside, alpha view, pooled rows
+    # per recorded chunk: hid, inside, alpha view, pooled rows, key rows
+    kept, p, s, k = [], 0, 0, 0
     for keys, rows in sets.blocks:
         (n, wq), c = rows.shape, keys.shape[1]
-        for part in [slice(0, n)] if recorded else _row_chunks(n, wq, c, hidden):
+        for part in _row_chunks(n, wq, c, hidden):
             g = part.stop - part.start
             hid = (from_query[rows[part]][:, :, None, :]
                    + from_key[keys[part]][:, None, :, :])
             np.maximum(hid, 0.0, out=hid)
-            logit = (hid.reshape(-1, hidden) @ v).reshape(g, wq, c)
+            logit = np.matmul(hid.reshape(g, wq * c, hidden), v).reshape(g, wq, c)
             _check_finite(logit, "attention_blocks (logits)")
             shifted = logit - logit.max(axis=-1, keepdims=True)
             inside = shifted >= -LOGIT_SPAN if recorded else None
@@ -447,8 +435,8 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
             span = slice(s, s + g * wq)
             np.matmul(a[:, :, None, :], hid, out=pooled[span].reshape(g, wq, 1, hidden))
             if recorded:
-                kept.append((hid, inside, a, span))
-            p, s = p + e.size, s + g * wq
+                kept.append((hid, inside, a, span, slice(k, k + g * c)))
+            p, s, k = p + e.size, s + g * wq, k + g * c
     ctx = pooled @ w_out.data
     ctx += b_out.data
     data = _scatter_add(ctx, sets.rows, query_src.data.shape[0])
@@ -459,32 +447,27 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
         g_v = np.zeros(hidden)
         g_fq = np.empty_like(g_pooled)
         g_fk = np.empty((len(sets.keys), hidden))
-        k = 0
-        for hid, inside, a, span in kept:
+        for hid, inside, a, span, key_rows in kept:
             n, wq, c = a.shape
             gp = g_pooled[span].reshape(n, wq, 1, hidden)
-            fq = g_fq[span].reshape(n, wq, hidden)
-            fk = g_fk[k:k + n * c].reshape(n, c, hidden)
-            g_logit = np.empty_like(a)
-            for part in _row_chunks(n, wq, c, hidden):
-                h, ap, gpp, gl = hid[part], a[part], gp[part], g_logit[part]
-                g_alpha = np.matmul(h, gpp.swapaxes(-1, -2))[..., 0]
-                np.subtract(g_alpha, (ap * g_alpha).sum(axis=-1, keepdims=True),
-                            out=gl)
-                gl *= ap
-                gl *= inside[part]
-                # a pair's gradient a * gp + g_logit * v is a rank-2 product,
-                # which one batched matmul forms faster than two broadcasts
-                g_hid = (np.stack([ap, gl], axis=-1)
-                         @ np.concatenate([gpp, np.broadcast_to(v, gpp.shape)], axis=2))
-                g_hid *= h > 0.0
-                # einsum sums the key axis about 2x faster than .sum(axis=2)
-                # (hidden 32, c 10-90), with the same bits when hidden > 1; at
-                # hidden 1 both reduce a contiguous axis, in different orders
-                fq[part] = np.einsum("gqkh->gqh", g_hid)
-                fk[part] = g_hid.sum(axis=1)
-            g_v += g_logit.ravel() @ hid.reshape(-1, hidden)
-            k += n * c
+            g_alpha = np.matmul(hid, gp.swapaxes(-1, -2))[..., 0]
+            g_logit = g_alpha - (a * g_alpha).sum(axis=-1, keepdims=True)
+            g_logit *= a
+            g_logit *= inside
+            # one term per block row, summed in row order as in a whole block
+            row_g_v = np.matmul(g_logit.reshape(n, 1, wq * c),
+                                hid.reshape(n, wq * c, hidden))[:, 0]
+            g_v = np.add.accumulate(np.vstack([g_v, row_g_v]))[-1]
+            # a pair's gradient a * gp + g_logit * v is a rank-2 product,
+            # which one batched matmul forms faster than two broadcasts
+            g_hid = (np.stack([a, g_logit], axis=-1)
+                     @ np.concatenate([gp, np.broadcast_to(v, gp.shape)], axis=2))
+            g_hid *= hid > 0.0
+            # einsum sums the key axis about 2x faster than .sum(axis=2)
+            # (hidden 32, c 10-90), with the same bits when hidden > 1; at
+            # hidden 1 both reduce a contiguous axis, in different orders
+            g_fq[span] = np.einsum("gqkh->gqh", g_hid).reshape(-1, hidden)
+            g_fk[key_rows] = g_hid.sum(axis=1).reshape(-1, hidden)
         g_w_out = pooled.T @ g
         g_w_out += np.outer(g_v, score.data[:, 0])
         g_fq = _scatter_add(g_fq, sets.rows, query_src.data.shape[0])

@@ -1,9 +1,15 @@
 """The block attention op as the package ran it before row chunks.
 
-`attention_blocks` is kept verbatim; only the imports differ. It forms
-each block's (G, Wq, c, hidden) pair activations in one piece, in the
-forward whether or not a tape records it, and in the backward. The tests
-check the chunked op against it bit for bit.
+`attention_blocks` is kept as it was, but for the imports and its two
+products over a block's pairs: the logits and g_v, the logit gradients'
+product with the pairs. Each runs once per block row, and g_v adds the
+rows' terms in row order, as the package's op does. A product over the
+whole block groups its pairs by BLAS kernel rules, which a row chunk
+cannot follow on every kernel; one product per row is the same
+arithmetic whatever the chunks. The op forms each block's
+(G, Wq, c, hidden) pair activations in one piece, in the forward whether
+or not a tape records it, and in the backward. The tests check the
+chunked op against it bit for bit.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
         (g, wq), c = rows.shape, keys.shape[1]
         hid = from_query[rows][:, :, None, :] + from_key[keys][:, None, :, :]
         np.maximum(hid, 0.0, out=hid)
-        logit = (hid.reshape(-1, hidden) @ v).reshape(g, wq, c)
+        logit = np.matmul(hid.reshape(g, wq * c, hidden), v).reshape(g, wq, c)
         _check_finite(logit, "attention_blocks (logits)")
         shifted = logit - logit.max(axis=-1, keepdims=True)
         inside = shifted >= -LOGIT_SPAN
@@ -101,7 +107,10 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
             g_logit = g_alpha - (a * g_alpha).sum(axis=-1, keepdims=True)
             g_logit *= a
             g_logit *= inside
-            g_v += g_logit.ravel() @ hid.reshape(-1, hidden)
+            n, wq, c = a.shape
+            row_g_v = np.matmul(g_logit.reshape(n, 1, wq * c),
+                                hid.reshape(n, wq * c, hidden))[:, 0]
+            g_v = np.add.accumulate(np.vstack([g_v, row_g_v]))[-1]
             # a pair's gradient a * gp + g_logit * v is a rank-2 product,
             # which one batched matmul forms faster than two broadcasts
             g_hid = (np.stack([a, g_logit], axis=-1)
