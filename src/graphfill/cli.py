@@ -38,7 +38,7 @@ from .spin import spin_forward
 from .spin_h import spinh_forward
 from .synth import (geometric_positions, pairwise_distances, suggest_kernel,
                     synth_series)
-from .train import evaluate, evaluate_baseline, train
+from .train import evaluate, evaluate_baseline, forward_fn, train
 
 BENCHMARK_WIDTHS = (8, 16, 32, 64)
 
@@ -287,25 +287,24 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     for variant in ("spin", "spin-h"):
         # both variants at depth 2, whatever the config's variant
         model_cfg = replace(cfg.model, variant=variant, n_layers=2, n_masked=1)
-        fwd = spin_forward if variant == "spin" else spinh_forward
-        cases = [(build_params(model_cfg, n, b.seed),
-                  Dataset(rng.normal(size=(width, n)),
-                          np.ones((width, n))).window(0, width))
-                 for width in BENCHMARK_WIDTHS]
+        params = build_params(model_cfg, n, b.seed)
+        fwd = forward_fn(params)
+        windows = [Dataset(rng.normal(size=(width, n)),
+                           np.ones((width, n))).window(0, width)
+                   for width in BENCHMARK_WIDTHS]
         # Repeats cycle through the widths, so a machine that runs slowly
         # for a while (CPUs waking from idle) slows every width alike and
         # the best time per width stays comparable.
-        best = [np.inf] * len(cases)
-        outs = [None] * len(cases)
+        best = [np.inf] * len(windows)
+        outs = [None] * len(windows)
         for _ in range(b.repeats):
-            for k, (params, win) in enumerate(cases):
+            for k, win in enumerate(windows):
                 t0 = time.perf_counter()
                 with T.no_grad():
                     outs[k] = fwd(win, graph, params)
                 best[k] = min(best[k], time.perf_counter() - t0)
         entries = []
-        for width, (params, _), out, wall in zip(BENCHMARK_WIDTHS, cases, outs,
-                                                 best):
+        for width, out, wall in zip(BENCHMARK_WIDTHS, outs, best):
             pairs = out.pairs_per_layer
             open_layer = next(p for p in pairs if not p["masked"])
             if variant == "spin":

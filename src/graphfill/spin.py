@@ -180,9 +180,9 @@ class ImputationOutput:
 
     readouts[l] is the (W, N) prediction from layer l+1's states; the
     last one is the imputation. x_leaf is the value array the pass read
-    from, kept so callers can inspect input gradients. pairs_per_layer
-    records how many (key, query) pairs each branch materialized, and
-    alphas each branch's audit from `attend`.
+    from, kept so callers can inspect input gradients. alphas[l] maps each
+    branch to its `attend` audit, its per-block weights; pairs_per_layer[l]
+    counts their (key, query) pairs and says whether the layer is masked.
     """
     readouts: list
     x_leaf: T.Value
@@ -203,9 +203,9 @@ def attend(key_src, query_src, *, key_idx, msg_mlp, score):
     `score`) combine messages into contexts, which are summed onto their
     query rows: the result has query_src's row count. key_src and
     query_src may live in different index spaces (e.g. hub rows vs
-    position rows). The branch is one tape op, `tensor.attention_blocks`.
-    The audit is (alpha, starts), the (P, 1) weights and each set's
-    first pair, flat in block order; None for a branch without pairs.
+    position rows). The branch is one tape op, `tensor.attention_blocks`,
+    which checks the widths. The audit is its (G, Wq, c) weights per block
+    of key_idx, [] for a branch without pairs, which records nothing.
 
     Arguments after the sources are keyword-only, and the record keeps
     the name `key_idx`, because perfbench's tracer attributes a branch by
@@ -217,17 +217,10 @@ def attend(key_src, query_src, *, key_idx, msg_mlp, score):
         raise ShapeError(
             f"message MLP must have widths [in, hidden, out], got {msg_mlp.widths}")
     if len(key_idx) == 0:
-        return T.Value(np.zeros((len(query_src.data), msg_mlp.widths[-1]))), None
-    dk = key_src.data.shape[-1]
-    dq = query_src.data.shape[-1]
-    if msg_mlp.widths[0] != dk + dq:
-        raise ShapeError(
-            f"message MLP expects width {msg_mlp.widths[0]}, sources have "
-            f"{dk} + {dq}")
-    out, alpha = T.attention_blocks(key_src, query_src, key_idx,
-                                    msg_mlp.weights[0], msg_mlp.biases[0],
-                                    msg_mlp.weights[1], msg_mlp.biases[1], score)
-    return out, (alpha, key_idx.starts)
+        return T.Value(np.zeros((len(query_src.data), msg_mlp.widths[-1]))), []
+    return T.attention_blocks(key_src, query_src, key_idx,
+                              msg_mlp.weights[0], msg_mlp.biases[0],
+                              msg_mlp.weights[1], msg_mlp.biases[1], score)
 
 
 def init_states(params, window, graph, input_mask=None):
@@ -256,33 +249,33 @@ def init_states(params, window, graph, input_mask=None):
 
 
 def position_update(blk, key_src, h, self_sets, cross_sets):
-    """One block's position update: (new h, pair counts, alpha audits).
+    """One block's position update: (new h, audits by branch).
 
     Every position attends over its self and cross sets with keys from
     key_src (spin: the states h; spin-h: the hubs), then is updated from
     [h, self context, neighbor sum].
     """
-    parts, pairs, audits = [h], {}, {}
+    parts, audits = [h], {}
     for branch, sets in (("self", self_sets), ("cross", cross_sets)):
         ctx, audits[branch] = attend(key_src, h, key_idx=sets,
                                      msg_mlp=blk[f"{branch}_msg"],
                                      score=blk[f"{branch}_score"])
         parts.append(ctx)
-        pairs[branch] = sets.n_pairs
-    return blk["update"](*parts), pairs, audits
+    return blk["update"](*parts), audits
 
 
 def run_layers(params, x_leaf, h, shape, layer) -> ImputationOutput:
     """Run every block from the layer-0 states h; layer(blk, h, masked)
-    returns one block's (h, pair counts, audits), and each block's states
+    returns one block's (h, audits by branch), and each block's states
     go through the shared readout, reshaped to the (W, N) `shape`.
     """
     readouts, pairs, alphas = [], [], []
     for l, blk in enumerate(params.layers):
         masked = l < params.n_masked
-        h, n_pairs, audits = layer(blk, h, masked)
+        h, audits = layer(blk, h, masked)
         readouts.append(T.reshape(params.readout(h), shape))
-        pairs.append({**n_pairs, "masked": masked})
+        pairs.append({branch: sum(w.size for w in weights)
+                      for branch, weights in audits.items()} | {"masked": masked})
         alphas.append(audits)
     return ImputationOutput(readouts=readouts, x_leaf=x_leaf,
                             pairs_per_layer=pairs, alphas=alphas)

@@ -127,8 +127,7 @@ def spinh_forward(window, graph: SensorGraph, params: SpinHParameters,
         c_hub, a_hub = attend(h, z, key_idx=hub, msg_mlp=blk["hub_msg"],
                               score=blk["hub_score"])
         z = blk["hub_fuse"](z, c_hub)
-        h, pairs, audits = position_update(blk, z, h, plan.read_self,
-                                           plan.read_cross)
-        return h, {"hub": hub.n_pairs, **pairs}, {"hub": a_hub, **audits}
+        h, audits = position_update(blk, z, h, plan.read_self, plan.read_cross)
+        return h, {"hub": a_hub, **audits}
 
     return run_layers(params, x_leaf, h, input_mask.shape, layer)

@@ -14,7 +14,7 @@ three model-level ops: mlp, one record for a whole multi-layer perceptron
 over the concatenation of its input parts; attention_blocks, one for a
 whole attention branch (the message MLP over [key, query] pairs, per-set
 softmax and weighted sum, contexts summed onto query rows) over the dense
-blocks of a `MessageSets` record, sets that share their keys; and
+blocks of a `MessageSets` record, returning each block's weights; and
 layer_l1, one for the layer-wise loss over every readout. That is enough
 for MLPs, softmax attention over variable-size message sets, and training.
 attention_blocks forms its (key, query) pair activations in chunks of
@@ -316,13 +316,13 @@ CHUNK_BYTES = 1 << 20
 class MessageSets:
     """One attention branch's message sets: dense blocks and their layout.
 
-    `blocks` holds (keys (G, c), rows (G, Wq)) pairs of intp arrays, c >= 1:
-    each of a block's Wq query rows reads its c keys, one set per (block,
-    query row); blocks that share query rows (the cross sets of one
-    destination) sum their contexts there. Each block is checked once,
-    here, and the flat layout is derived once per plan, in block order:
-    `rows` (each set's query row), `keys` (each block's key rows), `starts`
-    (each set's first pair) and `n_pairs` (sum G·Wq·c, the record's length).
+    `blocks` holds (keys (G, c), rows (G, Wq)) pairs of intp arrays, c >= 1
+    and Wq >= 1: each of a block's Wq query rows reads its c keys, one set
+    per (block, query row); blocks that share query rows (the cross sets
+    of one destination) sum their contexts there. Every block rule is
+    checked here, once per plan, and the layout is derived in block order:
+    `rows` (each set's query row), `keys` (each block's key rows) and
+    `n_pairs` (sum G·Wq·c, the record's length).
     """
 
     def __init__(self, blocks):
@@ -332,14 +332,14 @@ class MessageSets:
                                  f"got {keys.shape} and {rows.shape}")
             if keys.shape[1] < 1:
                 raise EmptySetError("every message set needs at least one key")
+            if rows.shape[1] < 1:
+                raise ShapeError(f"a block needs at least one query row per "
+                                 f"key group, got rows {rows.shape}")
         self.blocks = blocks
         none = [np.empty(0, dtype=np.intp)]
         self.rows = np.concatenate(none + [rows.ravel() for _, rows in blocks])
         self.keys = np.concatenate(none + [keys.ravel() for keys, _ in blocks])
-        sizes = np.repeat([keys.shape[1] for keys, _ in blocks],
-                          [rows.size for _, rows in blocks]).astype(np.intp)
-        self.starts = np.cumsum(sizes) - sizes
-        self.n_pairs = int(sizes.sum())
+        self.n_pairs = sum(keys.size * rows.shape[1] for keys, rows in blocks)
 
     def __len__(self) -> int:
         return self.n_pairs
@@ -391,12 +391,18 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     order. So a chunk runs the same products as the whole block, whatever
     the BLAS kernel, and gives its bits.
 
-    Returns (out, alpha): a Value with query_src's row count and the
-    (P, 1) weights, entry by entry in (g, q, k) order.
+    w_in must have dk + dq rows, dq the query width (ShapeError).
+    Returns (out, weights): a Value with query_src's row count, and per
+    entry of sets.blocks its (G, Wq, c) softmax weights, [g, q] the set of
+    query row rows[g, q], as views of one flat array in entry order.
     """
     key_src, query_src = as_value(key_src), as_value(query_src)
     w_in, b_in, w_out = as_value(w_in), as_value(b_in), as_value(w_out)
     b_out, score = as_value(b_out), as_value(score)
+    dk, dq = key_src.data.shape[-1], query_src.data.shape[-1]
+    if w_in.data.ndim != 2 or w_in.data.shape[0] != dk + dq:
+        raise ShapeError(f"attention first-layer weight {w_in.data.shape} does "
+                         f"not take key and query widths {dk} + {dq}")
     inputs = (query_src, key_src, w_in, b_in, w_out, b_out, score)
     recorded = _recording(inputs)
     hidden = w_out.data.shape[0]
@@ -407,7 +413,6 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     # those free.
     alpha = np.empty(sets.n_pairs)
     pooled = np.empty((len(sets.rows), hidden))
-    dk = key_src.data.shape[-1]
     w_key, w_query = w_in.data[:dk], w_in.data[dk:]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         from_key = key_src.data @ w_key
@@ -417,9 +422,11 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     from_query += b_in.data
     v = np.dot(w_out.data, score.data[:, 0])
     # per recorded chunk: hid, inside, alpha view, pooled rows, key rows
-    kept, p, s, k = [], 0, 0, 0
+    weights, kept, p, s, k = [], [], 0, 0, 0
     for keys, rows in sets.blocks:
         (n, wq), c = rows.shape, keys.shape[1]
+        weights.append(alpha[p:p + n * wq * c].reshape(n, wq, c))
+        p += n * wq * c
         for part in _row_chunks(n, wq, c, hidden):
             g = part.stop - part.start
             hid = (from_query[rows[part]][:, :, None, :]
@@ -430,13 +437,13 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
             shifted = logit - logit.max(axis=-1, keepdims=True)
             inside = shifted >= -LOGIT_SPAN if recorded else None
             e = np.exp(np.maximum(shifted, -LOGIT_SPAN, out=shifted), out=shifted)
-            a = alpha[p:p + e.size].reshape(g, wq, c)
+            a = weights[-1][part]
             np.divide(e, e.sum(axis=-1, keepdims=True), out=a)
             span = slice(s, s + g * wq)
             np.matmul(a[:, :, None, :], hid, out=pooled[span].reshape(g, wq, 1, hidden))
             if recorded:
                 kept.append((hid, inside, a, span, slice(k, k + g * c)))
-            p, s, k = p + e.size, s + g * wq, k + g * c
+            s, k = s + g * wq, k + g * c
     ctx = pooled @ w_out.data
     ctx += b_out.data
     data = _scatter_add(ctx, sets.rows, query_src.data.shape[0])
@@ -481,7 +488,7 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     # adds the query part before the key part. The order is part of the
     # result: the other one changes trained parameters in the last bits.
     out = _make_output(data, inputs, backfn, "attention_blocks")
-    return out, alpha[:, None]
+    return out, weights
 
 
 def layer_l1(readouts, truth, pos):

@@ -1,12 +1,13 @@
 """The block attention op as the package ran it before row chunks.
 
-`attention_blocks` is kept as it was, but for the imports and its two
-products over a block's pairs: the logits and g_v, the logit gradients'
-product with the pairs. Each runs once per block row, and g_v adds the
-rows' terms in row order, as the package's op does. A product over the
-whole block groups its pairs by BLAS kernel rules, which a row chunk
-cannot follow on every kernel; one product per row is the same
-arithmetic whatever the chunks. The op forms each block's
+`attention_blocks` is kept as it was, but for the imports, the weights
+it returns (one (G, Wq, c) array per block, as the package's op returns
+them) and its two products over a block's pairs: the logits and g_v, the
+logit gradients' product with the pairs. Each runs once per block row,
+and g_v adds the rows' terms in row order, as the package's op does. A
+product over the whole block groups its pairs by BLAS kernel rules,
+which a row chunk cannot follow on every kernel; one product per row is
+the same arithmetic whatever the chunks. The op forms each block's
 (G, Wq, c, hidden) pair activations in one piece, in the forward whether
 or not a tape records it, and in the backward. The tests check the
 chunked op against it bit for bit.
@@ -49,8 +50,8 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     axis for the G·Wq query rows and over the query axis for the G·c key
     rows: no row is gathered or scattered once per pair.
 
-    Returns (out, alpha): a Value with query_src's row count and the
-    (P, 1) weights, entry by entry in (g, q, k) order.
+    Returns (out, weights): a Value with query_src's row count and, per
+    entry of sets.blocks, its (G, Wq, c) weights.
     """
     key_src, query_src = as_value(key_src), as_value(query_src)
     w_in, b_in, w_out = as_value(w_in), as_value(b_in), as_value(w_out)
@@ -136,4 +137,4 @@ def attention_blocks(key_src, query_src, sets, w_in, b_in, w_out, b_out,
     # result: the other one changes trained parameters in the last bits.
     out = _make_output(data, (query_src, key_src, w_in, b_in, w_out, b_out, score),
                        backfn, "attention_blocks")
-    return out, alpha[:, None]
+    return out, [a for _, _, a, _ in kept]

@@ -38,14 +38,6 @@ class MessageSets:
     def __len__(self) -> int:
         return self.n_pairs
 
-    @property
-    def starts(self) -> np.ndarray:
-        """Each set's first pair, in the order `attention_blocks` lays out
-        its weights."""
-        sizes = np.repeat([keys.shape[1] for keys, _ in self.blocks],
-                          [rows.size for _, rows in self.blocks]).astype(np.intp)
-        return np.cumsum(sizes) - sizes
-
 
 def block_sets(members, offsets, group, rows) -> MessageSets:
     """Blocks whose query rows each read one key group.

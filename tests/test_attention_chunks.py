@@ -51,14 +51,15 @@ def attention_cases(draw):
 def taped(op, arrays, blocks, proj):
     leaves = [T.Value(a.copy(), requires_grad=True) for a in arrays]
     with T.Tape():
-        out, alpha = op(leaves[0], leaves[1], T.MessageSets(blocks), *leaves[2:])
+        out, weights = op(leaves[0], leaves[1], T.MessageSets(blocks), *leaves[2:])
         T.backward(U.vsum(U.mul(out, proj)))
-    return [out.data, alpha] + [leaf.grad for leaf in leaves]
+    return ([out.data, np.concatenate([w.ravel() for w in weights])]
+            + [leaf.grad for leaf in leaves])
 
 
 def untaped(op, arrays, blocks):
-    out, alpha = op(arrays[0], arrays[1], T.MessageSets(blocks), *arrays[2:])
-    return [out.data, alpha]
+    out, weights = op(arrays[0], arrays[1], T.MessageSets(blocks), *arrays[2:])
+    return [out.data, np.concatenate([w.ravel() for w in weights])]
 
 
 @settings(max_examples=150)

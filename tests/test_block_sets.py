@@ -5,8 +5,8 @@ rows[b, q] each read key group group[b], members[offsets[j]:offsets[j + 1]]
 for j = group[b], one (keys, query row) set per q, and a block whose
 group is empty has no sets. `block_sets` must give those sets in
 ascending key count, then block order, with one entry per distinct count,
-and a `MessageSets` layout (`rows`, `keys`, `starts`, `n_pairs`) that
-flattens them. The attention op's row chunks slice exactly these blocks.
+and a `MessageSets` layout (`rows`, `keys`, `n_pairs`) that flattens
+them. The attention op's row chunks slice exactly these blocks.
 """
 
 import numpy as np
@@ -67,5 +67,6 @@ def test_block_sets_match_naive_set_lists(case):
             block_keys.append((b, keys))
     assert got.keys.tolist() == [m for _, keys in block_keys for m in keys]
     sizes = [c for c, *_ in want]
-    assert got.starts.tolist() == np.cumsum([0] + sizes)[:-1].tolist()
+    assert [keys.shape[1] for keys, rows in got.blocks
+            for _ in range(rows.size)] == sizes
     assert got.n_pairs == len(got) == sum(sizes)

@@ -4,10 +4,10 @@
 row slices and matmuls, per-pair messages, score matmul, per-set
 softmax, weighted per-set sum, scatter onto query rows), and
 `unfused_ops.attention_sets` the fused flat op that followed it. Both
-read the blocks flattened into (key_idx, starts, query) sets. The block
-op must agree with each on values within 1e-12 and on every input
-gradient within 1e-10 relative, on single ops and inside whole spin and
-spin-h stacks.
+read the blocks flattened into (key_idx, starts, query) sets, and
+their weights are split back into blocks. The block op must agree with
+each on values within 1e-12 and on every input gradient within 1e-10
+relative, on single ops and inside whole spin and spin-h stacks.
 """
 
 import warnings
@@ -49,12 +49,13 @@ def random_inputs(rng, n_keys, n_queries, hidden=6, d=4, score_scale=1.0):
 
 
 def run_op(op, arrays, blocks, proj):
-    """Values, weights and input gradients of sum(proj * op(...))."""
+    """Values, flat weights and input gradients of sum(proj * op(...))."""
     leaves = [T.Value(a.copy(), requires_grad=True) for a in arrays]
     with T.Tape():
-        out, alpha = op(leaves[0], leaves[1], T.MessageSets(blocks), *leaves[2:])
+        out, weights = op(leaves[0], leaves[1], T.MessageSets(blocks), *leaves[2:])
         T.backward(U.vsum(U.mul(out, proj)))
-    return out.data, alpha, [leaf.grad for leaf in leaves]
+    return (out.data, np.concatenate([w.ravel() for w in weights]),
+            [leaf.grad for leaf in leaves])
 
 
 def assert_matches_references(arrays, blocks, rng):
@@ -86,8 +87,9 @@ def test_matches_unfused_with_clamped_logits():
                rng.integers(0, 4, size=(g, wq)))
               for g, wq, c in [(2, 3, 1), (1, 2, 4), (3, 2, 6)]]
     with T.no_grad():
-        _, alpha = T.attention_blocks(T.Value(arrays[0]), T.Value(arrays[1]),
-                                      T.MessageSets(blocks), *arrays[2:])
+        _, weights = T.attention_blocks(T.Value(arrays[0]), T.Value(arrays[1]),
+                                        T.MessageSets(blocks), *arrays[2:])
+    alpha = np.concatenate([w.ravel() for w in weights])
     # Every logit is its set's max or sits more than LOGIT_SPAN below it.
     # Then every logit gradient, and so the score gradient, is exactly 0
     # on all three paths; a weight between 0 and 1 would leave a score
@@ -141,6 +143,12 @@ def test_rejects_malformed_sets_and_nonfinite_logits():
         call([(np.zeros((1, 0), dtype=np.intp), np.array([[0]]))])  # no keys
     with pytest.raises(ShapeError):
         call([(np.array([[0], [1]]), np.array([[0]]))])  # 2 key groups, 1 row set
+    with pytest.raises(ShapeError):
+        call([(np.array([[0, 1]]), np.zeros((1, 0), dtype=np.intp))])  # no queries
+    narrow = list(arrays)
+    narrow[2] = arrays[2][1:]  # w_in one row short of key + query widths
+    with pytest.raises(ShapeError):
+        call(arrays=narrow)
     poisoned = list(arrays)
     poisoned[0] = arrays[0].copy()
     poisoned[0][2, 0] = np.inf
@@ -164,7 +172,7 @@ def test_attend_requires_two_layer_messages_and_handles_no_pairs():
     score = T.Value(rng.normal(size=(4, 1)))
     sets = dict(key_idx=T.MessageSets([]), score=score)
     out, audit = attend(h, h, msg_mlp=Mlp([8, 5, 4], rng), **sets)
-    assert np.array_equal(out.data, np.zeros((3, 4))) and audit is None
+    assert np.array_equal(out.data, np.zeros((3, 4))) and audit == []
     with pytest.raises(ShapeError):
         attend(h, h, msg_mlp=Mlp([8, 5, 5, 4], rng), **sets)
 
@@ -195,11 +203,14 @@ def compare_stacks(monkeypatch, forward, window, graph, params):
         for layer_got, layer_want in zip(got.alphas, want.alphas):
             assert layer_got.keys() == layer_want.keys()
             for branch, audit in layer_got.items():
-                if audit is None:
-                    assert layer_want[branch] is None
+                want_audit = layer_want[branch]
+                if not audit:
+                    assert want_audit == []
                     continue
-                assert np.array_equal(audit[1], layer_want[branch][1])
-                assert np.max(np.abs(audit[0] - layer_want[branch][0])) <= 1e-12
+                assert [w.shape for w in audit] == [w.shape for w in want_audit]
+                flat = [np.concatenate([w.ravel() for w in a])
+                        for a in (audit, want_audit)]
+                assert np.max(np.abs(flat[0] - flat[1])) <= 1e-12
         for (name, _), g, w in zip(params.named_parameters(), got_grads, want_grads):
             assert g is not w, name  # separate runs, separate arrays
             assert np.max(np.abs(g - w)) <= 1e-10 * max(np.max(np.abs(w)), 1e-300), name

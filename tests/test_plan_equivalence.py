@@ -4,8 +4,8 @@
 before spin and spin-h shared `spin.position_sets` and `MessageSets`
 derived its own layout. Over drawn masks (nodes that observe nothing
 included), graphs (no edges, isolated nodes, complete) and hub counts,
-every block, pair count and set start must be the same bits, and the
-record's `rows` and `keys` must be the reference blocks flattened. The
+every block and pair count must be the same bits, and the record's
+`rows` and `keys` must be the reference blocks flattened. The
 one-scatter layer-0 states must give the same bits in values and every
 gradient, alone and inside whole spin and spin-h stacks.
 """
@@ -71,7 +71,6 @@ def assert_same_sets(got, want):
         assert_bits(keys, want_keys)
         assert_bits(rows, want_rows)
     assert got.n_pairs == len(got) == want.n_pairs
-    assert_bits(got.starts, want.starts)
     assert_bits(got.rows, flattened(rows for _, rows in want.blocks))
     assert_bits(got.keys, flattened(keys for keys, _ in want.blocks))
 
@@ -97,8 +96,8 @@ def test_plans_match_the_reference_builders(case):
 
 def test_an_empty_record_has_an_empty_layout():
     sets = T.MessageSets([])
-    assert len(sets) == sets.n_pairs == 0
-    for layout in (sets.rows, sets.keys, sets.starts):
+    assert len(sets) == sets.n_pairs == 0 and sets.blocks == []
+    for layout in (sets.rows, sets.keys):
         assert layout.dtype == np.intp and layout.shape == (0,)
 
 

@@ -125,15 +125,9 @@ def test_attention_weights_sum_to_one():
         checked = 0
         for layer in out.alphas:
             for branch in ("hub", "self", "cross"):
-                audit = layer[branch]
-                if audit is None:
-                    continue
-                alpha, starts = audit
-                bounds = np.append(starts, len(alpha))
-                for lo, hi in zip(bounds[:-1], bounds[1:]):
-                    if hi > lo:
-                        assert abs(alpha[lo:hi].sum() - 1.0) <= 1e-12
-                        checked += 1
+                for w in layer[branch]:
+                    assert np.all(abs(w.sum(-1) - 1) <= 1e-12)
+                    checked += w.shape[0] * w.shape[1]
         assert checked > 0
 
 

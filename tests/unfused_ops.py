@@ -347,7 +347,7 @@ def attention_sets(key_src, query_src, key_idx, starts, query, w_in, b_in,
     and belongs to query row query[s]; pair p reads key row key_idx[p].
     Pair arrays are (hidden, P): every (key, query) pair is gathered,
     repeated, segment-reduced with `reduceat` and scattered one row at a
-    time. Returns (out, alpha) as `attention_blocks` does.
+    time. Returns (out, alpha), alpha the (P, 1) weights in set order.
     """
     key_src, query_src = T.as_value(key_src), T.as_value(query_src)
     w_in, b_in, w_out = T.as_value(w_in), T.as_value(b_in), T.as_value(w_out)
@@ -425,8 +425,18 @@ def flat_sets(blocks):
             np.concatenate(query).astype(np.intp))
 
 
+def block_weights(alpha, blocks):
+    """(P, 1) weights in the order of `flat_sets`, as one (G, Wq, c) array
+    per block."""
+    sizes = [keys.size * rows.shape[1] for keys, rows in blocks]
+    bounds = np.cumsum([0] + sizes)
+    return [alpha[lo:hi, 0].reshape(len(keys), rows.shape[1], keys.shape[1])
+            for (keys, rows), lo, hi in zip(blocks, bounds[:-1], bounds[1:])]
+
+
 def on_blocks(flat_op):
-    """`flat_op` behind the signature of `attention_blocks`."""
+    """`flat_op` behind the signature and results of `attention_blocks`."""
     def op(key_src, query_src, sets, *weights):
-        return flat_op(key_src, query_src, *flat_sets(sets.blocks), *weights)
+        out, alpha = flat_op(key_src, query_src, *flat_sets(sets.blocks), *weights)
+        return out, block_weights(alpha, sets.blocks)
     return op
